@@ -13,7 +13,9 @@ violation indicates an implementation bug rather than bad luck.
 Monte-Carlo tail checks (multimode subspace distortion, residual
 distortion): the empirical fraction of draws whose distortion exceeds
 eps is compared against the target failure probability eta plus a
-two-sigma binomial slack ``2 sqrt(eta (1 - eta) / trials)``.
+two-sigma binomial slack ``2 sqrt(eta (1 - eta) / trials)``.  Both
+work on the Tucker core and the (embedded) factors and never form a
+full-size candidate tensor.
 
 Floating-point note: conditional conclusions are checked with a
 relative slack of 1e-12 so that exact-arithmetic implications are not
@@ -29,7 +31,7 @@ import numpy as np
 
 from . import rng
 from .embeddings import Embedding, apply_embedding, apply_embedding_mode, embedding_matrix, is_eps_jl, make_embedding
-from .tensor import as_tensor, mode_multiply, norm
+from .tensor import as_tensor, inner, matricize, mode_multiply, multi_mode_multiply, norm
 from .tucker import TuckerDecomposition, apply_mode_map, mode_coherence, norm_via_gram, psi_matrix, reconstruct
 
 __all__ = [
@@ -46,7 +48,6 @@ __all__ = [
     "check_multimode_distortion",
     "check_residual_distortion",
     "estimate_subspace_dim",
-    "calibrate_embedding_dim",
     "run_lemma21_suite",
     "run_lemma_a_suite",
     "run_prop1_suite",
@@ -91,6 +92,8 @@ class BoundParams:
             raise ValueError("embed_dims must list one size per mode")
         if self.cconst <= 0:
             raise ValueError("cconst must be positive")
+        if self.y_samples < 1:
+            raise ValueError("y_samples must be at least 1")
 
 
 @dataclass
@@ -302,14 +305,28 @@ def check_prop1(T: TuckerDecomposition, E: Embedding, mode: int, eps: float) -> 
     )
 
 
+def _sq_norm_on_core(core: np.ndarray, factors) -> float:
+    """Squared norm of ``core`` multiplied by ``factors[k]`` along every mode k.
+
+    Evaluated on the core as ``<G, G x_k A_k^T A_k>``, so the full tensor
+    is never formed.
+    """
+    return inner(core, multi_mode_multiply(core, [A.T @ A for A in factors]))
+
+
 def check_multimode_distortion(params: BoundParams, family: str = "gaussian") -> BoundReport:
     """Monte-Carlo tail check for squared-norm distortion of low-rank draws.
 
-    Each trial reconstructs a random orthogonal decomposition, embeds
-    every mode with a fresh draw at the configured sizes and records the
-    relative squared-norm distortion.  Passing means the fraction of
-    trials exceeding eps is at most eta plus binomial slack.  Raises if
-    eps sits outside the admissible range of the guarantee being checked.
+    Each trial draws a random orthogonal decomposition ``Y = G x_k F_k``,
+    embeds every mode with a fresh draw ``E_k`` at the configured sizes
+    and records the relative squared-norm distortion.  Embedding a Tucker
+    tensor along every mode gives the Tucker tensor with embedded factors,
+    ``(G x_k F_k) x_k E_k = G x_k (E_k F_k)``, so only the n_k-by-R_k
+    factors are embedded and both squared norms are evaluated on the core
+    as ``<G, G x_k A_k^T A_k>`` with ``A_k = F_k`` and ``A_k = E_k F_k``;
+    no full-size tensor is formed.  Passing means the fraction of trials
+    exceeding eps is at most eta plus binomial slack.  Raises if eps sits
+    outside the admissible range of the guarantee being checked.
     """
     params.validate()
     if params.embed_dims is None:
@@ -322,13 +339,12 @@ def check_multimode_distortion(params: BoundParams, family: str = "gaussian") ->
     failures = 0
     for t in range(params.trials):
         T = random_orthogonal_tucker(params.dims, params.ranks, rng.stream(params.seed, rng.TRIAL, t, 0))
-        Y = reconstruct(T)
-        Yc = Y
-        for j, (n, m) in enumerate(zip(params.dims, params.embed_dims)):
-            E = make_embedding(family, n, m, rng.child_seed(params.seed, rng.TRIAL, t, 1 + j))
-            Yc = apply_embedding_mode(E, Yc, j)
-        sq = norm(Y) ** 2
-        d = abs(norm(Yc) ** 2 - sq) / sq
+        embedded = [
+            apply_embedding(make_embedding(family, n, m, rng.child_seed(params.seed, rng.TRIAL, t, 1 + j)), F)
+            for j, (n, m, F) in enumerate(zip(params.dims, params.embed_dims, T.factors))
+        ]
+        sq = _sq_norm_on_core(T.core, T.factors)
+        d = abs(_sq_norm_on_core(T.core, embedded) - sq) / sq
         distortions.append(d)
         if d > params.eps:
             failures += 1
@@ -345,26 +361,41 @@ def check_multimode_distortion(params: BoundParams, family: str = "gaussian") ->
     )
 
 
-def estimate_subspace_dim(core, factors, mode: int, seed: int = 0, extra: int = 8) -> int:
-    """Numerical rank of the span swept out by varying one factor.
+def _residual_split(Xm: np.ndarray, W: np.ndarray):
+    """The parts of ``||Xm - A W||^2`` that do not depend on A.
 
-    Samples reconstructions with random orthonormal draws in the free
-    mode and returns the rank of their stacked vectorisations.  Used for
-    reporting only.
+    With Q from a QR of ``W^T`` (its columns span a space containing the
+    row space of W, also when W is rank-deficient),
+    ``||Xm - A W||^2 = ||Xm (I - Q Q^T)||^2 + ||Xm Q - A (W Q)||^2``.
+    Returns the first term, ``Xm Q`` and ``W Q``.
     """
-    core = as_tensor(core)
-    n = factors[mode].shape[0] if factors[mode] is not None else None
-    if n is None:
+    Q = np.linalg.qr(W.T)[0]
+    XQ = Xm @ Q
+    return norm(Xm - XQ @ Q.T) ** 2, XQ, W @ Q
+
+
+def _sq_residuals(split, cands: np.ndarray) -> np.ndarray:
+    """``||Xm - A W||^2`` for every free factor A stacked in ``cands``."""
+    rest, XQ, WQ = split
+    D = XQ - cands @ WQ
+    return rest + np.sum(D * D, axis=(1, 2))
+
+
+def estimate_subspace_dim(core, factors, mode: int) -> int:
+    """Dimension of the span swept out by varying one factor.
+
+    With the other factors fixed, a candidate unfolds along ``mode`` to
+    ``A @ W`` (A the free factor, W the weight matrix of
+    :func:`~tuckersketch.tucker.psi_matrix`).
+    Orthonormal draws of A span every matrix of its shape, so sampled
+    candidates cover, almost surely, a span of dimension
+    ``n_mode * rank(W)``; that number is returned.  ``factors[mode]``
+    only supplies n_mode.  Used for reporting only.
+    """
+    if factors[mode] is None:
         raise ValueError("the free mode still needs a row count; pass a placeholder factor")
-    r = core.shape[mode]
-    count = n * r + extra
-    gen = rng.stream(seed, rng.TRIAL, 0, 99)
-    cols = []
-    for _ in range(count):
-        G = np.linalg.qr(gen.standard_normal((n, r)))[0]
-        fs = [G if k == mode else factors[k] for k in range(core.ndim)]
-        cols.append(reconstruct(TuckerDecomposition(core, fs)).ravel(order="F"))
-    return int(np.linalg.matrix_rank(np.column_stack(cols)))
+    W = psi_matrix(TuckerDecomposition(core, factors), mode)
+    return factors[mode].shape[0] * int(np.linalg.matrix_rank(W))
 
 
 def check_residual_distortion(
@@ -379,21 +410,38 @@ def check_residual_distortion(
     """Monte-Carlo tail check for distortion of residuals against a sweep.
 
     The candidate set fixes the core and all factors but one; candidates
-    Y arise from random orthonormal draws in the free mode.  Each trial
+    Y arise from random orthonormal draws A in the free mode.  Each trial
     embeds every mode with fresh draws and measures the worst relative
     squared-norm distortion of ``X - Y`` over ``params.y_samples``
     candidates; the trial fails if that worst case exceeds eps.
+
+    No candidate is formed as a tensor.  Along ``mode`` a candidate
+    unfolds to ``A @ W`` with W the weight matrix of the fixed factors
+    (:func:`~tuckersketch.tucker.psi_matrix`), and its embedding to
+    ``(E_mode A) @ W_L`` with W_L the weight matrix of the embedded
+    factors.  Both residual norms use an orthogonal split over the row
+    space of the weight matrix, with Q from a QR of ``W^T``::
+
+        ||X_(mode) - A W||^2 = ||X_(mode) (I - Q Q^T)||^2 + ||X_(mode) Q - A (W Q)||^2
+
+    The first term is computed once per call for X and once per trial
+    for the embedded X; per candidate only an n_mode-by-R_mode (or
+    m_mode-by-R_mode) difference remains.  Every term is the norm of a
+    difference, so there is no cancellation when Y is close to X.
     """
     params.validate()
     if params.embed_dims is None:
         raise ValueError("embed_dims must be set for distortion checks")
     X = as_tensor(X)
+    if X.shape != tuple(params.dims):
+        raise ValueError(f"tensor shape {X.shape} does not match dims {tuple(params.dims)}")
     core = as_tensor(core)
     rmax = max(params.ranks)
     limit = max_admissible_residual_eps(rmax, params.order)
     if params.eps > limit:
         raise ValueError(f"eps={params.eps} exceeds admissible bound {limit:.4f}")
-    q = params.order
+    samples, n, r = params.y_samples, params.dims[mode], core.shape[mode]
+    split = _residual_split(matricize(X, mode), psi_matrix(TuckerDecomposition(core, factors), mode))
     distortions = []
     failures = 0
     for t in range(params.trials):
@@ -404,21 +452,16 @@ def check_residual_distortion(
         LX = X
         for j, E in enumerate(embeds):
             LX = apply_embedding_mode(E, LX, j)
-        worst = 0.0
-        for s in range(params.y_samples):
-            gen = rng.stream(params.seed, rng.TRIAL, t, 100 + s)
-            G = np.linalg.qr(gen.standard_normal((params.dims[mode], core.shape[mode])))[0]
-            fs = [G if k == mode else factors[k] for k in range(q)]
-            Y = reconstruct(TuckerDecomposition(core, fs))
-            # linearity: embed Y through its (small) mapped factors
-            LY = reconstruct(
-                TuckerDecomposition(core, [apply_embedding(embeds[k], fs[k]) for k in range(q)])
-            )
-            Z = X - Y
-            sq = norm(Z) ** 2
-            if sq == 0.0:
-                continue
-            worst = max(worst, abs(norm(LX - LY) ** 2 - sq) / sq)
+        embedded = [apply_embedding(E, f) for E, f in zip(embeds, factors)]
+        LW = psi_matrix(TuckerDecomposition(core, embedded), mode)
+        draws = [rng.stream(params.seed, rng.TRIAL, t, 100 + s).standard_normal((n, r)) for s in range(samples)]
+        cands = np.linalg.qr(np.array(draws))[0]
+        # linearity: the embedded candidate has free factor E_mode A
+        lcands = np.array(np.split(apply_embedding(embeds[mode], np.hstack(cands)), samples, axis=1))
+        sq = _sq_residuals(split, cands)
+        lsq = _sq_residuals(_residual_split(matricize(LX, mode), LW), lcands)
+        keep = sq != 0.0
+        worst = float(np.max(np.abs(lsq[keep] - sq[keep]) / sq[keep], initial=0.0))
         distortions.append(worst)
         if worst > params.eps:
             failures += 1
@@ -426,7 +469,7 @@ def check_residual_distortion(
     frac = failures / params.trials
     details = {"family": family, "embed_dims": list(params.embed_dims), "y_samples": params.y_samples}
     if report_subspace_dim:
-        details["subspace_dim_estimate"] = estimate_subspace_dim(core, factors, mode, params.seed)
+        details["subspace_dim_estimate"] = estimate_subspace_dim(core, factors, mode)
         details["residual_dim_bound"] = residual_embedding_dim_bound(
             params, details["subspace_dim_estimate"]
         )
@@ -439,34 +482,6 @@ def check_residual_distortion(
         distortions=distortions,
         details=details,
     )
-
-
-def calibrate_embedding_dim(params: BoundParams, family: str, grid) -> dict:
-    """Smallest per-mode sample size in ``grid`` passing the tail check.
-
-    The theoretical sufficient sizes carry an unspecified constant, so
-    this sweep reports what actually suffices empirically at the given
-    configuration.  Returns the passing size (or None) plus the failure
-    fraction at every grid point.
-    """
-    results = {}
-    chosen = None
-    for m in grid:
-        p = BoundParams(
-            eps=params.eps,
-            eta=params.eta,
-            dims=params.dims,
-            ranks=params.ranks,
-            trials=params.trials,
-            embed_dims=tuple(int(m) for _ in params.dims),
-            cconst=params.cconst,
-            seed=params.seed,
-        )
-        rep = check_multimode_distortion(p, family)
-        results[int(m)] = rep.failure_fraction
-        if chosen is None and rep.passed:
-            chosen = int(m)
-    return {"chosen": chosen, "failure_fractions": results}
 
 
 # ---------------------------------------------------------------------------

@@ -186,6 +186,12 @@ def _ls_projector(A: np.ndarray) -> np.ndarray:
     return np.linalg.pinv(A, rcond=_PINV_RCOND)
 
 
+def _require_finite(X: np.ndarray) -> None:
+    # LAPACK hangs or fails to converge on inf/nan entries
+    if not np.isfinite(X).all():
+        raise ValueError("input tensor must be finite (found inf or nan entries)")
+
+
 def _hosvd_factors(X: np.ndarray, ranks) -> list[np.ndarray]:
     return [_leading_left_vectors(matricize(X, j), r) for j, r in enumerate(ranks)]
 
@@ -198,6 +204,7 @@ def hosvd(X, ranks) -> TuckerDecomposition:
     """
     X = as_tensor(X)
     DecomposerConfig(ranks=tuple(ranks), method="hosvd").validate(X.shape)
+    _require_finite(X)
     factors = _hosvd_factors(X, ranks)
     core = multi_mode_multiply(X, [f.T for f in factors])
     return TuckerDecomposition(core, factors, orthogonal=True)
@@ -373,6 +380,7 @@ def decompose(X, config: DecomposerConfig):
     """Run the configured solver; returns ``(decomposition, report)``."""
     X = as_tensor(X)
     config.validate(X.shape)
+    _require_finite(X)
     if norm(X) == 0.0:
         raise ValueError("cannot decompose a zero tensor (fit undefined)")
     if config.method == "hosvd":

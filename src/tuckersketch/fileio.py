@@ -23,6 +23,7 @@ does not match the header exactly.
 
 from __future__ import annotations
 
+import math
 import struct
 from pathlib import Path
 
@@ -70,7 +71,7 @@ def read_tensor(path) -> np.ndarray:
     dims = np.frombuffer(raw, dtype="<u8")
     if np.any(dims == 0):
         raise ValueError(f"zero dimension in header: {tuple(int(d) for d in dims)}")
-    count = int(np.prod(dims))
+    count = math.prod(int(d) for d in dims)
     raw, off = _take(buf, off, 8 * count, "values")
     if off != len(buf):
         raise ValueError(f"{len(buf) - off} trailing bytes after payload")
@@ -116,7 +117,7 @@ def read_decomposition(path) -> TuckerDecomposition:
     ranks = tuple(int(r) for r in header[:, 1])
     if any(n == 0 for n in dims) or any(r == 0 for r in ranks):
         raise ValueError(f"zero dimension or rank in header: dims={dims} ranks={ranks}")
-    raw, off = _take(buf, off, 8 * int(np.prod(ranks)), "core values")
+    raw, off = _take(buf, off, 8 * math.prod(ranks), "core values")
     core = from_vec(np.frombuffer(raw, dtype="<f8"), ranks)
     factors = []
     for n, r in zip(dims, ranks):

@@ -2,10 +2,17 @@
 
 These deliberately enumerate indices one at a time; with small integer
 data both routes are exact in float64, so comparisons can demand
-bitwise equality.
+bitwise equality.  The distortion oracles at the end instead take the
+dense route: they materialise every tensor and every embedding matrix.
 """
 
 import numpy as np
+
+from tuckersketch import rng
+from tuckersketch.bounds import random_orthogonal_tucker
+from tuckersketch.embeddings import embedding_matrix, make_embedding
+from tuckersketch.tensor import multi_mode_multiply, norm
+from tuckersketch.tucker import TuckerDecomposition, reconstruct
 
 
 def matricize_oracle(X, mode):
@@ -56,3 +63,52 @@ def kron_oracle(A, B):
 def integer_tensor(gen, shape, low=-4, high=5):
     """Random small-integer tensor; float64 arithmetic on it is exact."""
     return gen.integers(low, high, size=shape).astype(np.float64)
+
+
+def _embedding_matrices(params, family, t):
+    """Dense matrices of trial t's per-mode embeddings, seeded as the checks seed them."""
+    return [
+        embedding_matrix(make_embedding(family, n, m, rng.child_seed(params.seed, rng.TRIAL, t, 1 + j)))
+        for j, (n, m) in enumerate(zip(params.dims, params.embed_dims))
+    ]
+
+
+def multimode_distortion_oracle(params, family):
+    """Per-trial distortions of the multimode check, from dense tensors."""
+    out = []
+    for t in range(params.trials):
+        T = random_orthogonal_tucker(params.dims, params.ranks, rng.stream(params.seed, rng.TRIAL, t, 0))
+        Y = reconstruct(T)
+        sq = norm(Y) ** 2
+        out.append(abs(norm(multi_mode_multiply(Y, _embedding_matrices(params, family, t))) ** 2 - sq) / sq)
+    return out
+
+
+def residual_distortion_oracle(X, params, core, factors, mode, family):
+    """Per-trial worst distortions of the residual check, from dense tensors."""
+    out = []
+    for t in range(params.trials):
+        mats = _embedding_matrices(params, family, t)
+        LX = multi_mode_multiply(X, mats)
+        worst = 0.0
+        for s in range(params.y_samples):
+            gen = rng.stream(params.seed, rng.TRIAL, t, 100 + s)
+            A = np.linalg.qr(gen.standard_normal((params.dims[mode], core.shape[mode])))[0]
+            Y = reconstruct(TuckerDecomposition(core, [A if k == mode else f for k, f in enumerate(factors)]))
+            sq = norm(X - Y) ** 2
+            if sq > 0.0:
+                worst = max(worst, abs(norm(LX - multi_mode_multiply(Y, mats)) ** 2 - sq) / sq)
+        out.append(worst)
+    return out
+
+
+def subspace_dim_oracle(core, factors, mode, gen, extra=8):
+    """Numerical rank of sampled reconstructions with random orthonormal
+    factors in ``mode``: more samples than the span can hold."""
+    n, r = factors[mode].shape[0], core.shape[mode]
+    cols = []
+    for _ in range(n * r + extra):
+        A = np.linalg.qr(gen.standard_normal((n, r)))[0]
+        fs = [A if k == mode else f for k, f in enumerate(factors)]
+        cols.append(reconstruct(TuckerDecomposition(core, fs)).ravel(order="F"))
+    return int(np.linalg.matrix_rank(np.column_stack(cols)))

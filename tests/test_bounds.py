@@ -10,6 +10,7 @@ from tuckersketch.bounds import (
     check_prop1,
     check_residual_distortion,
     embedding_dim_bound,
+    estimate_subspace_dim,
     max_admissible_eps,
     pair_vector_set,
     random_orthogonal_tucker,
@@ -20,6 +21,9 @@ from tuckersketch.bounds import (
 )
 from tuckersketch.embeddings import make_embedding
 from tuckersketch import rng
+from tuckersketch.tucker import TuckerDecomposition, reconstruct
+
+from oracles import multimode_distortion_oracle, residual_distortion_oracle, subspace_dim_oracle
 
 
 def params(**kw):
@@ -39,6 +43,8 @@ def test_bound_params_validation():
         params(ranks=(17, 2, 2)).validate()
     with pytest.raises(ValueError):
         params(trials=0).validate()
+    with pytest.raises(ValueError, match="y_samples"):
+        params(y_samples=0).validate()
 
 
 def test_embedding_dim_bound_frozen_value():
@@ -201,3 +207,72 @@ def test_residual_distortion_candidates_never_degenerate():
     assert rep.trials == 8
     assert max(rep.distortions) <= 1e-10
     assert rep.failures == 0
+
+
+def assert_rel_close(got, want, rel=1e-10):
+    assert len(got) == len(want)
+    for g, w in zip(got, want):
+        assert abs(g - w) <= rel * abs(w), (g, w)
+
+
+@pytest.mark.parametrize("family", ["gaussian", "srft"])
+def test_multimode_distortion_matches_dense_oracle(family):
+    p = params(dims=(6, 7, 8), ranks=(2, 3, 2), embed_dims=(4, 5, 6), trials=8, seed=31)
+    rep = check_multimode_distortion(p, family)
+    assert_rel_close(rep.distortions, multimode_distortion_oracle(p, family))
+
+
+def oblique_problem(dims, ranks, seed):
+    """Dense X plus a core and non-orthonormal factors for the residual check."""
+    gen = np.random.default_rng(seed)
+    X = gen.standard_normal(dims)
+    core = gen.standard_normal(ranks)
+    factors = [gen.standard_normal((n, r)) + 0.5 for n, r in zip(dims, ranks)]
+    return X, core, factors
+
+
+@pytest.mark.parametrize("family", ["gaussian", "srft"])
+@pytest.mark.parametrize("mode", [0, 1, 2])
+def test_residual_distortion_matches_dense_oracle(family, mode):
+    dims, ranks = (6, 7, 8), (2, 3, 2)
+    X, core, factors = oblique_problem(dims, ranks, 40 + mode)
+    p = params(eps=0.6, eta=0.2, dims=dims, ranks=ranks, embed_dims=(4, 5, 6), trials=6, seed=7, y_samples=5)
+    rep = check_residual_distortion(X, p, core, factors, mode, family)
+    assert_rel_close(rep.distortions, residual_distortion_oracle(X, p, core, factors, mode, family))
+
+
+def test_residual_distortion_accurate_when_candidate_nearly_equals_x():
+    # X is the only candidate plus a residual 1e-6 of its size: the split
+    # evaluates ||X - Y|| as norms of differences, so no digits cancel
+    dims, ranks, mode = (6, 7, 8), (2, 3, 2), 1
+    _, core, factors = oblique_problem(dims, ranks, 50)
+    p = params(eps=0.6, eta=0.2, dims=dims, ranks=ranks, embed_dims=(4, 5, 6), trials=1, seed=9, y_samples=1)
+    gen = rng.stream(p.seed, rng.TRIAL, 0, 100)
+    fs = list(factors)
+    fs[mode] = np.linalg.qr(gen.standard_normal((dims[mode], ranks[mode])))[0]
+    Y = reconstruct(TuckerDecomposition(core, fs))
+    X = Y + 1e-6 * np.linalg.norm(Y) * np.random.default_rng(51).standard_normal(dims) / np.sqrt(Y.size)
+    rep = check_residual_distortion(X, p, core, factors, mode, "gaussian")
+    assert_rel_close(rep.distortions, residual_distortion_oracle(X, p, core, factors, mode, "gaussian"), rel=1e-8)
+
+
+@pytest.mark.parametrize("mode", [0, 1, 2])
+def test_estimate_subspace_dim_matches_sampled_rank(mode):
+    dims, ranks = (6, 7, 8), (2, 3, 2)
+    _, core, factors = oblique_problem(dims, ranks, 60 + mode)
+    got = estimate_subspace_dim(core, factors, mode)
+    assert got == dims[mode] * ranks[mode]
+    assert got == subspace_dim_oracle(core, factors, mode, np.random.default_rng(mode))
+
+
+@pytest.mark.parametrize("mode", [0, 1, 2])
+def test_estimate_subspace_dim_rank_deficient_weights(mode):
+    # the core's mode unfolding has rank 1, so the weight matrix W does too
+    dims, ranks = (6, 7, 8), (2, 3, 2)
+    _, _, factors = oblique_problem(dims, ranks, 70 + mode)
+    gen = np.random.default_rng(71)
+    rest = [r for k, r in enumerate(ranks) if k != mode]
+    core = np.moveaxis(np.multiply.outer(gen.standard_normal(ranks[mode]), gen.standard_normal(rest)), 0, mode)
+    got = estimate_subspace_dim(core, factors, mode)
+    assert got == dims[mode]
+    assert got == subspace_dim_oracle(core, factors, mode, np.random.default_rng(mode))

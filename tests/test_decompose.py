@@ -205,3 +205,16 @@ def test_run_report_shape_and_json():
     assert parsed["method"] == "hooi-re"
     assert parsed["iterations"] == report.iterations
     assert parsed["final_error"] == report.final_error
+
+
+@pytest.mark.parametrize("bad", [np.inf, -np.inf, np.nan])
+def test_non_finite_input_rejected_before_any_factorisation(bad):
+    # an inf entry used to give final_error = nan from hosvd (or hang LAPACK
+    # on larger tensors); a nan made hooi fail with "SVD did not converge"
+    X = noisy_tensor((8, 8, 8), (2, 2, 2), 0.1, 21)
+    X[3, 1, 4] = bad
+    with pytest.raises(ValueError, match="must be finite"):
+        hosvd(X, (2, 2, 2))
+    for method in ("hosvd", "hooi", "hooi-re", "hooi-re-star"):
+        with pytest.raises(ValueError, match="must be finite"):
+            decompose(X, DecomposerConfig(ranks=(2, 2, 2), method=method, dr=0.5))

@@ -94,3 +94,17 @@ def test_decomposition_reader_rejects_malformed(tmp_path):
     bad.write_bytes(raw[:-8])
     with pytest.raises(ValueError, match="truncated"):
         read_decomposition(bad)
+
+
+def test_readers_reject_header_whose_size_overflows_u64(tmp_path):
+    # 2^32 * 2^32 values wraps to 0 in 64-bit arithmetic; the payload is missing
+    huge = [2**32, 2**32]
+    path = tmp_path / "huge.tkr"
+    path.write_bytes(b"TKR1" + bytes([2]) + np.asarray(huge, dtype="<u8").tobytes())
+    with pytest.raises(ValueError, match="truncated"):
+        read_tensor(path)
+
+    path = tmp_path / "huge.tkd"
+    path.write_bytes(b"TKD1" + bytes([2]) + np.asarray(huge + huge, dtype="<u8").tobytes())
+    with pytest.raises(ValueError, match="truncated"):
+        read_decomposition(path)
