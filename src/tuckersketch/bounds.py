@@ -32,7 +32,16 @@ import numpy as np
 from . import rng
 from .embeddings import Embedding, apply_embedding, apply_embedding_mode, embedding_matrix, is_eps_jl, make_embedding
 from .tensor import as_tensor, inner, matricize, mode_multiply, multi_mode_multiply, norm
-from .tucker import TuckerDecomposition, apply_mode_map, mode_coherence, norm_via_gram, psi_matrix, reconstruct
+from .tucker import (
+    TuckerDecomposition,
+    _psi,
+    _weighted_sq_norm,
+    apply_mode_map,
+    mode_coherence,
+    norm_via_gram,
+    psi_matrix,
+    reconstruct,
+)
 
 __all__ = [
     "BoundParams",
@@ -254,6 +263,11 @@ def check_prop1(T: TuckerDecomposition, E: Embedding, mode: int, eps: float) -> 
             other modes' coherences are untouched;
       (iii) the squared norm moves by at most eps times the absolute sum
             of the mode weight Gram matrix.
+
+    The norms in (iii) are taken on the core: ``||Y||^2 = ||G||^2`` for
+    orthonormal factors, and the mapped norm is the Gram evaluation of
+    :func:`~tuckersketch.tucker.norm_via_gram`, sharing the weight Gram
+    matrix with the envelope.
     """
     if not T.orthogonal:
         raise ValueError("perturbation bounds assume orthonormal factors")
@@ -278,11 +292,11 @@ def check_prop1(T: TuckerDecomposition, E: Embedding, mode: int, eps: float) -> 
         if k != mode
     )
 
-    Y = reconstruct(T)
-    sq_old = norm(Y) ** 2
-    sq_new = norm(mode_multiply(Y, A, mode)) ** 2
     psi = psi_matrix(T, mode)
-    envelope = eps * float(np.sum(np.abs(psi @ psi.T)))
+    weight = psi @ psi.T
+    sq_old = norm(T.core) ** 2
+    sq_new = _weighted_sq_norm(weight, A @ T.factors[mode])
+    envelope = eps * float(np.sum(np.abs(weight)))
     norm_ok = abs(sq_new - sq_old) <= envelope + _FP_SLACK * (1.0 + envelope)
 
     ok = core_ok and coher_ok and transport_ok and norm_ok
@@ -394,7 +408,7 @@ def estimate_subspace_dim(core, factors, mode: int) -> int:
     """
     if factors[mode] is None:
         raise ValueError("the free mode still needs a row count; pass a placeholder factor")
-    W = psi_matrix(TuckerDecomposition(core, factors), mode)
+    W = _psi(core, factors, mode)
     return factors[mode].shape[0] * int(np.linalg.matrix_rank(W))
 
 
@@ -436,12 +450,15 @@ def check_residual_distortion(
     if X.shape != tuple(params.dims):
         raise ValueError(f"tensor shape {X.shape} does not match dims {tuple(params.dims)}")
     core = as_tensor(core)
+    shapes = [np.shape(f) for f in factors]
+    if core.ndim != params.order or shapes != list(zip(params.dims, core.shape)):
+        raise ValueError(f"factor shapes {shapes} do not match dims {tuple(params.dims)} and core {core.shape}")
     rmax = max(params.ranks)
     limit = max_admissible_residual_eps(rmax, params.order)
     if params.eps > limit:
         raise ValueError(f"eps={params.eps} exceeds admissible bound {limit:.4f}")
     samples, n, r = params.y_samples, params.dims[mode], core.shape[mode]
-    split = _residual_split(matricize(X, mode), psi_matrix(TuckerDecomposition(core, factors), mode))
+    split = _residual_split(matricize(X, mode), _psi(core, factors, mode))
     distortions = []
     failures = 0
     for t in range(params.trials):
@@ -453,11 +470,11 @@ def check_residual_distortion(
         for j, E in enumerate(embeds):
             LX = apply_embedding_mode(E, LX, j)
         embedded = [apply_embedding(E, f) for E, f in zip(embeds, factors)]
-        LW = psi_matrix(TuckerDecomposition(core, embedded), mode)
+        LW = _psi(core, embedded, mode)
         draws = [rng.stream(params.seed, rng.TRIAL, t, 100 + s).standard_normal((n, r)) for s in range(samples)]
         cands = np.linalg.qr(np.array(draws))[0]
         # linearity: the embedded candidate has free factor E_mode A
-        lcands = np.array(np.split(apply_embedding(embeds[mode], np.hstack(cands)), samples, axis=1))
+        lcands = apply_embedding_mode(embeds[mode], cands, 1)
         sq = _sq_residuals(split, cands)
         lsq = _sq_residuals(_residual_split(matricize(LX, mode), LW), lcands)
         keep = sq != 0.0

@@ -18,7 +18,28 @@ from .bench import BenchConfig, run_bench, synth_tensor
 from .decompose import METHODS, DecomposerConfig, decompose
 from .fileio import read_tensor, write_decomposition, write_tensor
 
-SUITES = ("lemma21", "lemma-a", "prop1", "th1", "th4")
+
+def _gram_error(report) -> str:
+    return f"max_rel_err={report.details['max_rel_err']:.3e} tol={report.threshold:g}"
+
+
+def _violations(report) -> str:
+    return f"violations={report.failures} satisfied={report.details['satisfied']}"
+
+
+def _tail_fraction(report) -> str:
+    return f"failure_fraction={report.failure_fraction:.4f} threshold={report.threshold:.4f}"
+
+
+# suite -> (runner, keyword taking --trials, keywords taking --eps/--eta, summary line)
+_VERIFY_SUITES = {
+    "lemma21": (bounds.run_lemma21_suite, "trials", (), _gram_error),
+    "lemma-a": (bounds.run_lemma_a_suite, "trials", ("eps",), _violations),
+    "prop1": (bounds.run_prop1_suite, "target", ("eps",), _violations),
+    "th1": (bounds.run_th1_suite, "trials", ("eps", "eta"), _tail_fraction),
+    "th4": (bounds.run_th4_suite, "trials", ("eps", "eta"), _tail_fraction),
+}
+SUITES = tuple(_VERIFY_SUITES)
 
 
 def _int_list(text: str) -> tuple[int, ...]:
@@ -144,41 +165,14 @@ def _cmd_bench(args) -> int:
 
 
 def _cmd_verify(args) -> int:
-    eps = args.eps
-    eta = args.eta
-    if args.suite == "lemma21":
-        report = bounds.run_lemma21_suite(trials=args.trials, seed=args.seed)
-        line = f"max_rel_err={report.details['max_rel_err']:.3e} tol={report.threshold:g}"
-    elif args.suite == "lemma-a":
-        report = bounds.run_lemma_a_suite(
-            trials=args.trials, eps=0.5 if eps is None else eps, seed=args.seed
-        )
-        line = f"violations={report.failures} satisfied={report.details['satisfied']}"
-    elif args.suite == "prop1":
-        report = bounds.run_prop1_suite(
-            target=args.trials, eps=0.6 if eps is None else eps, seed=args.seed
-        )
-        line = f"violations={report.failures} satisfied={report.details['satisfied']}"
-    elif args.suite == "th1":
-        report = bounds.run_th1_suite(
-            trials=args.trials,
-            eps=0.5 if eps is None else eps,
-            eta=0.1 if eta is None else eta,
-            seed=args.seed,
-        )
-        line = f"failure_fraction={report.failure_fraction:.4f} threshold={report.threshold:.4f}"
-    else:
-        report = bounds.run_th4_suite(
-            trials=args.trials,
-            eps=0.6 if eps is None else eps,
-            eta=0.2 if eta is None else eta,
-            seed=args.seed,
-        )
-        line = f"failure_fraction={report.failure_fraction:.4f} threshold={report.threshold:.4f}"
+    run, trials_kw, bound_kws, summary = _VERIFY_SUITES[args.suite]
+    # an unset --eps/--eta keeps the suite's own default
+    given = {kw: getattr(args, kw) for kw in bound_kws if getattr(args, kw) is not None}
+    report = run(**{trials_kw: args.trials}, seed=args.seed, **given)
     if args.out:
         Path(args.out).write_text(json.dumps(report.to_dict(), indent=2))
     status = "PASS" if report.passed else "FAIL"
-    print(f"{args.suite}: {status} {line}")
+    print(f"{args.suite}: {status} {summary(report)}")
     return 0 if report.passed else 1
 
 

@@ -9,9 +9,10 @@ sweep structure; they differ in what data the sweep sees:
                     (random signs then orthonormal DCT-II), every sweep
                     redraws a row sample per compressed mode, factor
                     updates use the sketched tensor and the core solves
-                    a least-squares problem on the fully sketched data
-                    (pseudoinverse when a sample is smaller than the
-                    rank).
+                    a least-squares problem on the fully sketched data,
+                    always by the pseudoinverse of each sketched factor
+                    (relative cutoff 1e-12), also when a sample is
+                    smaller than the rank.
 * ``hooi-re-star``  identical sweeps, but the core update projects the
                     full mixed tensor instead of the sketched one.
 
@@ -32,13 +33,12 @@ pulled back through the mixing maps.
 from __future__ import annotations
 
 import time
-from dataclasses import dataclass, field, asdict
+from dataclasses import asdict, dataclass, field, replace
 
 import numpy as np
 
 from . import rng
 from .embeddings import (
-    MixOperators,
     draw_sample_rows,
     make_mix_operators,
     mix,
@@ -46,7 +46,7 @@ from .embeddings import (
     subsample_mode,
     unmix_factor,
 )
-from .tensor import as_tensor, matricize, mode_multiply, multi_mode_multiply, norm
+from .tensor import as_tensor, matricize, multi_mode_multiply, norm
 from .tucker import TuckerDecomposition, reconstruct
 
 __all__ = [
@@ -168,22 +168,30 @@ def _polar_factor(M: np.ndarray) -> np.ndarray:
     return U @ Vt
 
 
-def _ls_projector(A: np.ndarray) -> np.ndarray:
-    """Matrix P with ``P @ y`` the least-squares solution of ``A x = y``.
+def _ls_core(Xc: np.ndarray, sketched: list[np.ndarray]) -> np.ndarray:
+    """Least-squares core of sketched data: one pseudoinverse (relative
+    cutoff 1e-12) per sketched factor, so full-rank, rank-deficient and
+    undersampled factors take the same path."""
+    return multi_mode_multiply(Xc, [np.linalg.pinv(S, rcond=_PINV_RCOND) for S in sketched])
 
-    Solves the normal equations when A has full column rank and falls
-    back to a pseudoinverse (relative cutoff 1e-12) when the sample is
-    smaller than the rank or the normal matrix is ill conditioned.
-    """
-    m, r = A.shape
-    if m >= r:
-        gram = A.T @ A
-        try:
-            if np.linalg.cond(gram) < 1e12:
-                return np.linalg.solve(gram, A.T)
-        except np.linalg.LinAlgError:
-            pass
-    return np.linalg.pinv(A, rcond=_PINV_RCOND)
+
+def _draw_samples(seed: int, it: int, shape, sizes: dict[int, int]) -> dict[int, np.ndarray]:
+    """Row samples of iteration ``it`` (0 is the initial guess), per compressed mode."""
+    return {j: draw_sample_rows(rng.stream(seed, rng.SAMPLE, it, j), shape[j], m) for j, m in sizes.items()}
+
+
+def _sketch(X: np.ndarray, samples, scales, skip: int | None = None) -> np.ndarray:
+    """Scaled row sampling of ``X`` along every compressed mode but ``skip``."""
+    for k, rows in samples.items():
+        if k != skip:
+            X = subsample_mode(X, rows, scales[k], k)
+    return X
+
+
+def _sketched_factors(factors, samples, scales) -> list[np.ndarray]:
+    """The factors as the sketched data sees them: compressed modes keep
+    their sampled, scaled rows."""
+    return [scales[k] * f[samples[k], :] if k in samples else f for k, f in enumerate(factors)]
 
 
 def _require_finite(X: np.ndarray) -> None:
@@ -235,46 +243,30 @@ def _run_hosvd(X: np.ndarray, config: DecomposerConfig):
     return T, report
 
 
-def _initial_guess(
-    Xw: np.ndarray,
-    config: DecomposerConfig,
-    modes: tuple[int, ...],
-    sizes: dict[int, int],
-):
+def _initial_guess(Xw: np.ndarray, config: DecomposerConfig, sizes: dict[int, int], scales):
     """Starting factors and core on the (possibly mixed) working tensor.
 
-    The default sketches the working tensor along the other modes before
-    each factor SVD, so initialisation costs no more than one sweep; the
-    core starts from the same least-squares problem the first sweep will
-    solve.  ``init="random"`` draws orthonormal bases instead.
+    Uses the iteration-0 row samples of the compressed modes (none when
+    nothing is compressed).  The default sketches the working tensor along
+    the other modes before each factor SVD, so initialisation costs no
+    more than one sweep; the core starts from the same least-squares
+    problem the first sweep will solve.  ``init="random"`` draws
+    orthonormal bases instead.
     """
     q = Xw.ndim
-    samples = {
-        j: draw_sample_rows(rng.stream(config.seed, rng.SAMPLE, 0, j), Xw.shape[j], sizes[j])
-        for j in modes
-    }
-    scales = {j: float(np.sqrt(Xw.shape[j] / sizes[j])) for j in modes}
+    samples = _draw_samples(config.seed, 0, Xw.shape, sizes)
     if config.init == "random":
         factors = []
         for j in range(q):
             G = rng.stream(config.seed, rng.INIT, j).standard_normal((Xw.shape[j], config.ranks[j]))
             factors.append(_fix_sign(np.linalg.qr(G)[0]))
     else:
-        factors = []
-        for j in range(q):
-            W = Xw
-            for k in modes:
-                if k != j:
-                    W = subsample_mode(W, samples[k], scales[k], k)
-            factors.append(_leading_left_vectors(matricize(W, j), config.ranks[j]))
-    if modes:
-        Xc = Xw
-        for k in modes:
-            Xc = subsample_mode(Xc, samples[k], scales[k], k)
-        sketched = [
-            scales[k] * factors[k][samples[k], :] if k in modes else factors[k] for k in range(q)
+        factors = [
+            _leading_left_vectors(matricize(_sketch(Xw, samples, scales, skip=j), j), config.ranks[j])
+            for j in range(q)
         ]
-        core = multi_mode_multiply(Xc, [_ls_projector(S) for S in sketched])
+    if samples:
+        core = _ls_core(_sketch(Xw, samples, scales), _sketched_factors(factors, samples, scales))
     else:
         core = multi_mode_multiply(Xw, [f.T for f in factors])
     return factors, core
@@ -286,6 +278,7 @@ def _run_hooi_family(X: np.ndarray, config: DecomposerConfig):
     sketched_core = config.method == "hooi-re"
     modes = config.resolved_compress_modes(q) if randomized else ()
     sizes = {j: sample_size(config.dr, X.shape[j]) for j in modes}
+    scales = {j: float(np.sqrt(X.shape[j] / sizes[j])) for j in modes}
 
     t0 = time.perf_counter()
     if randomized:
@@ -296,7 +289,7 @@ def _run_hooi_family(X: np.ndarray, config: DecomposerConfig):
         Xw = X
     preprocess_ms = (time.perf_counter() - t0) * 1e3
 
-    factors, core = _initial_guess(Xw, config, modes, sizes)
+    factors, core = _initial_guess(Xw, config, sizes, scales)
     norm_full = norm(Xw)
     stage: dict[str, list[float]] = {name: [] for name in STAGES}
     fit_trace: list[float] = []
@@ -304,50 +297,33 @@ def _run_hooi_family(X: np.ndarray, config: DecomposerConfig):
 
     for it in range(1, config.max_iters + 1):
         t0 = time.perf_counter()
-        if randomized:
-            samples = {
-                j: draw_sample_rows(rng.stream(config.seed, rng.SAMPLE, it, j), X.shape[j], sizes[j])
-                for j in modes
-            }
-            scales = {j: float(np.sqrt(X.shape[j] / sizes[j])) for j in modes}
+        samples = _draw_samples(config.seed, it, X.shape, sizes)
         stage["embed_generate"].append((time.perf_counter() - t0) * 1e3)
 
         embed_ms = 0.0
         factor_ms = 0.0
         for j in range(q):
             t0 = time.perf_counter()
-            Xj = Xw
-            for k in modes:
-                if k != j:
-                    Xj = subsample_mode(Xj, samples[k], scales[k], k)
+            Xj = _sketch(Xw, samples, scales, skip=j)
             embed_ms += (time.perf_counter() - t0) * 1e3
 
             t0 = time.perf_counter()
-            W = Xj
-            for k in range(q):
-                if k == j:
-                    continue
-                Gk = scales[k] * factors[k][samples[k], :] if k in modes else factors[k]
-                W = mode_multiply(W, Gk.T, k)
+            sketched = _sketched_factors(factors, samples, scales)
+            W = multi_mode_multiply(Xj, [None if k == j else S.T for k, S in enumerate(sketched)])
             factors[j] = _polar_factor(matricize(W, j) @ matricize(core, j).T)
             factor_ms += (time.perf_counter() - t0) * 1e3
 
         t0 = time.perf_counter()
         if sketched_core:
-            Xc = Xw
-            for k in modes:
-                Xc = subsample_mode(Xc, samples[k], scales[k], k)
+            Xc = _sketch(Xw, samples, scales)
         embed_ms += (time.perf_counter() - t0) * 1e3
         stage["embed_apply"].append(embed_ms)
         stage["factor_update"].append(factor_ms)
 
         t0 = time.perf_counter()
         if sketched_core:
-            sketched = [
-                scales[k] * factors[k][samples[k], :] if k in modes else factors[k]
-                for k in range(q)
-            ]
-            core = multi_mode_multiply(Xc, [_ls_projector(S) for S in sketched])
+            sketched = _sketched_factors(factors, samples, scales)
+            core = _ls_core(Xc, sketched)
             fit = 1.0 - norm(Xc - multi_mode_multiply(core, sketched)) / norm(Xc)
         else:
             core = multi_mode_multiply(Xw, [f.T for f in factors])
@@ -390,29 +366,14 @@ def decompose(X, config: DecomposerConfig):
 
 def hooi(X, config: DecomposerConfig):
     """Alternating orthogonal iteration on the raw tensor."""
-    return decompose(X, _with_method(config, "hooi"))
+    return decompose(X, replace(config, method="hooi"))
 
 
 def hooi_re(X, config: DecomposerConfig):
     """Randomized iteration; core solved on the fully sketched data."""
-    return decompose(X, _with_method(config, "hooi-re"))
+    return decompose(X, replace(config, method="hooi-re"))
 
 
 def hooi_re_star(X, config: DecomposerConfig):
     """Randomized iteration; core projected from the full mixed data."""
-    return decompose(X, _with_method(config, "hooi-re-star"))
-
-
-def _with_method(config: DecomposerConfig, method: str) -> DecomposerConfig:
-    if config.method == method:
-        return config
-    return DecomposerConfig(
-        ranks=config.ranks,
-        method=method,
-        dr=config.dr,
-        compress_modes=config.compress_modes,
-        max_iters=config.max_iters,
-        rel_tol=config.rel_tol,
-        seed=config.seed,
-        init=config.init,
-    )
+    return decompose(X, replace(config, method="hooi-re-star"))

@@ -24,7 +24,7 @@ import numpy as np
 import scipy.fft
 
 from . import rng
-from .tensor import as_tensor, matricize, dematricize
+from .tensor import as_tensor, mode_multiply
 
 __all__ = [
     "Embedding",
@@ -105,28 +105,42 @@ def sample_size(dr: float, n: int) -> int:
     return max(1, int(np.floor(dr * n + 0.5)))
 
 
+def _sign_dct(X: np.ndarray, signs: np.ndarray, mode: int) -> np.ndarray:
+    """Sign flip then orthonormal DCT-II along ``mode``: the mixing step
+    shared by the SRFT and by :func:`mix`."""
+    shape = [1] * X.ndim
+    shape[mode] = -1
+    return scipy.fft.dct(X * signs.reshape(shape), type=2, axis=mode, norm="ortho")
+
+
 def apply_embedding(E: Embedding, M) -> np.ndarray:
-    """Apply the embedding to a matrix of stacked columns (or one vector)."""
+    """Apply the embedding to a matrix of stacked columns (or one vector).
+
+    The mode-0 case of :func:`apply_embedding_mode`.
+    """
     M = as_tensor(M)
     squeeze = M.ndim == 1
     if squeeze:
         M = M[:, None]
     if M.shape[0] != E.n:
         raise ValueError(f"input has {M.shape[0]} rows, embedding expects {E.n}")
-    if E.kind == "srft":
-        mixed = scipy.fft.dct(E.signs[:, None] * M, type=2, axis=0, norm="ortho")
-        out = E.scale * mixed[E.sample_rows, :]
-    else:
-        out = E.matrix @ M
+    out = apply_embedding_mode(E, M, 0)
     return out[:, 0] if squeeze else out
 
 
 def apply_embedding_mode(E: Embedding, X, mode: int) -> np.ndarray:
-    """Apply the embedding along one mode of a tensor."""
+    """Apply the embedding along one mode of a tensor.
+
+    An SRFT mixes the mode (sign flip, DCT) and keeps its sampled rows
+    through :func:`subsample_mode`; a Gaussian map is one mode product.
+    Neither unfolds the tensor.
+    """
     X = as_tensor(X)
-    new_shape = list(X.shape)
-    new_shape[mode] = E.m
-    return dematricize(apply_embedding(E, matricize(X, mode)), mode, new_shape)
+    if not 0 <= mode < X.ndim or X.shape[mode] != E.n:
+        raise ValueError(f"mode {mode} of a tensor of shape {X.shape} does not have size {E.n}")
+    if E.kind == "srft":
+        return subsample_mode(_sign_dct(X, E.signs, mode), E.sample_rows, E.scale, mode)
+    return mode_multiply(X, E.matrix, mode)
 
 
 def embedding_matrix(E: Embedding) -> np.ndarray:
@@ -167,10 +181,8 @@ def mix(X, ops: MixOperators) -> np.ndarray:
         raise ValueError(f"tensor shape {X.shape} does not match operators {ops.shape}")
     out = X
     for j, signs in enumerate(ops.signs):
-        if signs is None:
-            continue
-        M = scipy.fft.dct(signs[:, None] * matricize(out, j), type=2, axis=0, norm="ortho")
-        out = dematricize(M, j, out.shape)
+        if signs is not None:
+            out = _sign_dct(out, signs, j)
     return out
 
 

@@ -90,6 +90,9 @@ def mode_multiply(X, B, mode: int) -> np.ndarray:
     """Multiply ``X`` along ``mode`` by the matrix ``B``.
 
     Satisfies ``matricize(mode_multiply(X, B, j), j) == B @ matricize(X, j)``.
+    Every mode product in the package goes through this one kernel: a
+    single ``tensordot`` contraction over ``mode``, without an unfold and
+    fold round trip.
     """
     X = as_tensor(X)
     B = as_tensor(B)
@@ -100,9 +103,12 @@ def mode_multiply(X, B, mode: int) -> np.ndarray:
         raise ValueError(
             f"mode map has {B.shape[1]} columns but mode {mode} has size {X.shape[mode]}"
         )
-    new_shape = list(X.shape)
-    new_shape[mode] = B.shape[0]
-    return dematricize(B @ matricize(X, mode), mode, new_shape)
+    if X.flags.f_contiguous and not X.flags.c_contiguous:
+        # tensordot unfolds in C order: contract a first-index-fastest
+        # tensor through its C-contiguous transpose rather than a copy
+        m = X.ndim - 1 - mode
+        return np.moveaxis(np.tensordot(B, X.T, axes=(1, m)), 0, m).T
+    return np.moveaxis(np.tensordot(B, X, axes=(1, mode)), 0, mode)
 
 
 def multi_mode_multiply(X, mats: Sequence, modes: Sequence[int] | None = None) -> np.ndarray:

@@ -13,7 +13,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .tensor import as_tensor, matricize, dematricize, mode_multiply, multi_mode_multiply, kronecker
+from .tensor import as_tensor, matricize, mode_multiply, multi_mode_multiply
 
 __all__ = [
     "TuckerDecomposition",
@@ -132,9 +132,7 @@ def apply_mode_map(T: TuckerDecomposition, B, mode: int) -> TuckerDecomposition:
     col_norms = np.linalg.norm(mapped, axis=0)
     if np.any(col_norms < _SINGULAR_COLUMN_TOL):
         raise ValueError("mode map sends a factor column below norm 1e-14")
-    core_mat = matricize(T.core, mode) * col_norms[:, None]
-    new_shape = list(T.core.shape)
-    new_core = dematricize(core_mat, mode, new_shape)
+    new_core = mode_multiply(T.core, np.diag(col_norms), mode)
     new_factors = list(T.factors)
     new_factors[mode] = mapped / col_norms
     return TuckerDecomposition(new_core, new_factors, orthogonal=False)
@@ -144,19 +142,20 @@ def psi_matrix(T: TuckerDecomposition, mode: int) -> np.ndarray:
     """Weight matrix pairing factor-``mode`` columns with everything else.
 
     Returns the ``(R_mode, prod(n_k, k != mode))`` matrix W such that the
-    mode unfolding of the reconstruction is ``factor_mode @ W``.  This is
-    the only place the (potentially wide) matrix is materialised.
+    mode unfolding of the reconstruction is ``factor_mode @ W``: the mode
+    unfolding of the core multiplied by every other factor along its mode.
     """
     if not 0 <= mode < T.order:
         raise ValueError(f"mode {mode} out of range for order-{T.order} decomposition")
-    chain = None
-    for k in reversed(range(T.order)):
-        if k == mode:
-            continue
-        chain = T.factors[k] if chain is None else kronecker(chain, T.factors[k])
-    if chain is None:  # order-1 decomposition
-        chain = np.eye(1)
-    return matricize(T.core, mode) @ chain.T
+    return _psi(T.core, T.factors, mode)
+
+
+def _psi(core: np.ndarray, factors, mode: int) -> np.ndarray:
+    """:func:`psi_matrix` of a core and factors that need not form a valid
+    decomposition (a factor may have fewer rows than columns; the free
+    factor ``factors[mode]`` is never read)."""
+    others = [None if k == mode else f for k, f in enumerate(factors)]
+    return matricize(multi_mode_multiply(core, others), mode)
 
 
 def norm_via_gram(T: TuckerDecomposition, B, mode: int) -> float:
@@ -173,6 +172,9 @@ def norm_via_gram(T: TuckerDecomposition, B, mode: int) -> float:
             f"mode map must have {T.shape[mode]} columns, got shape {B.shape}"
         )
     psi = psi_matrix(T, mode)
-    weight = psi @ psi.T
-    mapped = B @ T.factors[mode]
+    return _weighted_sq_norm(psi @ psi.T, B @ T.factors[mode])
+
+
+def _weighted_sq_norm(weight: np.ndarray, mapped: np.ndarray) -> float:
+    """sum_{r,s} weight_{rs} <mapped_r, mapped_s> over the columns of ``mapped``."""
     return float(np.sum(weight * (mapped.T @ mapped)))

@@ -98,9 +98,8 @@ def test_bench_rows_round_trip_and_summary_recompute(tmp_path):
     back = read_rows(csv_path)
     assert len(back) == len(rows)
     for a, b in zip(rows, back):
-        assert a.method == b.method and a.R == b.R and a.rep == b.rep
-        assert a.error == b.error  # floats survive the round trip exactly
-        assert a.seed == b.seed
+        assert b == a  # every field, floats included, survives the round trip exactly
+        assert [type(v) for v in vars(b).values()] == [type(v) for v in vars(a).values()]
     # aggregates recompute from rows
     again = summarize(back)
     for c1, c2 in zip(summary["cells"], again["cells"]):
@@ -132,3 +131,16 @@ def test_bench_error_column_bitwise_reproducible():
     rows2, _ = run_bench(X, config)
     assert [r.error for r in rows1] == [r.error for r in rows2]
     assert [r.seed for r in rows1] == [r.seed for r in rows2]
+
+
+def test_bench_seeds_distinguish_close_ratios():
+    # dr values within 5e-4 of each other once shared a seed
+    X = synth_tensor((10, 10, 10), (2, 2, 2), 0.1, 7)
+    config = BenchConfig(methods=("hooi-re",), ranks=(2,), dr_grid=(0.3, 0.3004), reps=2, seed=5)
+    rows1, _ = run_bench(X, config)
+    rows2, _ = run_bench(X, config)
+    seeds = {(r.dr, r.rep): r.seed for r in rows1}
+    assert seeds[(0.3, 0)] != seeds[(0.3004, 0)]
+    assert seeds[(0.3, 1)] != seeds[(0.3004, 1)]
+    assert len(set(seeds.values())) == 4
+    assert [(r.seed, r.error) for r in rows1] == [(r.seed, r.error) for r in rows2]

@@ -19,8 +19,9 @@ from tuckersketch.bounds import (
     run_lemma_a_suite,
     run_prop1_suite,
 )
-from tuckersketch.embeddings import make_embedding
+from tuckersketch.embeddings import embedding_matrix, make_embedding
 from tuckersketch import rng
+from tuckersketch.tensor import mode_multiply, norm
 from tuckersketch.tucker import TuckerDecomposition, reconstruct
 
 from oracles import multimode_distortion_oracle, residual_distortion_oracle, subspace_dim_oracle
@@ -139,6 +140,26 @@ def test_prop1_single_column_mode_is_vacuous():
     assert rep.passed
 
 
+@pytest.mark.parametrize("family", ["gaussian", "srft"])
+def test_prop1_norm_shift_matches_dense_route(family):
+    dims, ranks = (12, 10, 8), (3, 2, 3)
+    checked = 0
+    for t in range(200):
+        T = random_orthogonal_tucker(dims, ranks, np.random.default_rng(t))
+        j = t % 3
+        E = make_embedding(family, dims[j], dims[j] - 2, t)
+        rep = check_prop1(T, E, j, eps=0.6)
+        if rep.discarded:
+            continue
+        Y = reconstruct(T)
+        want = abs(norm(mode_multiply(Y, embedding_matrix(E), j)) ** 2 - norm(Y) ** 2)
+        assert abs(rep.details["norm_shift"] - want) <= 1e-10 * want
+        checked += 1
+        if checked == 20:
+            break
+    assert checked == 20
+
+
 def test_prop1_requires_orthogonal_decomposition():
     gen = np.random.default_rng(5)
     from tuckersketch.tucker import TuckerDecomposition
@@ -254,6 +275,25 @@ def test_residual_distortion_accurate_when_candidate_nearly_equals_x():
     X = Y + 1e-6 * np.linalg.norm(Y) * np.random.default_rng(51).standard_normal(dims) / np.sqrt(Y.size)
     rep = check_residual_distortion(X, p, core, factors, mode, "gaussian")
     assert_rel_close(rep.distortions, residual_distortion_oracle(X, p, core, factors, mode, "gaussian"), rel=1e-8)
+
+
+def test_residual_distortion_embedding_dim_below_rank():
+    # embedded factors are 2-by-3: not a valid decomposition, still a valid check
+    dims, ranks = (8, 8, 8), (3, 3, 3)
+    X, core, factors = oblique_problem(dims, ranks, 80)
+    p = params(eps=0.6, eta=0.2, dims=dims, ranks=ranks, embed_dims=(2, 2, 2), trials=6, seed=11, y_samples=5)
+    rep = check_residual_distortion(X, p, core, factors, 0, "gaussian")
+    assert rep.trials == 6
+    assert_rel_close(rep.distortions, residual_distortion_oracle(X, p, core, factors, 0, "gaussian"))
+
+
+def test_residual_distortion_rejects_mismatched_factors():
+    X, core, factors = oblique_problem((6, 7, 8), (2, 3, 2), 81)
+    p = params(eps=0.6, eta=0.2, dims=(6, 7, 8), ranks=(2, 3, 2), embed_dims=(4, 5, 6), trials=1)
+    with pytest.raises(ValueError, match="factor shapes"):
+        check_residual_distortion(X, p, core, [factors[0], factors[1], factors[2][:5]], 0)
+    with pytest.raises(ValueError, match="factor shapes"):
+        check_residual_distortion(X, p, core, factors[:2], 0)
 
 
 @pytest.mark.parametrize("mode", [0, 1, 2])

@@ -111,6 +111,12 @@ def test_verify_prop1_small(tmp_path):
     assert report["failures"] == 0
 
 
+@pytest.mark.parametrize("suite", ["lemma21", "lemma-a", "prop1", "th1", "th4"])
+def test_verify_every_suite_small(suite, capsys):
+    assert main(["verify", "--suite", suite, "--trials", "4", "--seed", "1"]) == 0
+    assert capsys.readouterr().out.startswith(f"{suite}: PASS ")
+
+
 def test_verify_unknown_suite_is_usage_error():
     with pytest.raises(SystemExit) as exc:
         main(["verify", "--suite", "lemma99"])

@@ -16,7 +16,7 @@ from tuckersketch.embeddings import (
     subsample_mode,
     unmix_factor,
 )
-from tuckersketch.tensor import matricize, norm
+from tuckersketch.tensor import matricize, mode_multiply, multi_mode_multiply, norm
 
 
 def test_dct_matrix_is_orthonormal():
@@ -79,18 +79,28 @@ def test_gaussian_norm_unbiasedness_over_seeds():
 
 
 def test_apply_embedding_row_mismatch():
-    E = make_embedding("gaussian", 8, 4, 0)
-    with pytest.raises(ValueError):
-        apply_embedding(E, np.zeros((9, 2)))
+    for kind in ("gaussian", "srft"):
+        E = make_embedding(kind, 8, 4, 0)
+        with pytest.raises(ValueError):
+            apply_embedding(E, np.zeros((9, 2)))
+        with pytest.raises(ValueError, match="does not have size 8"):
+            apply_embedding_mode(E, np.zeros((8, 9)), 1)
+        with pytest.raises(ValueError, match="does not have size 8"):
+            apply_embedding_mode(E, np.zeros((8, 9)), 2)
 
 
 def test_apply_embedding_mode_matches_unfolding():
     gen = np.random.default_rng(3)
     X = gen.standard_normal((6, 7, 8))
-    E = make_embedding("srft", 7, 3, 5)
-    Y = apply_embedding_mode(E, X, 1)
-    assert Y.shape == (6, 3, 8)
-    assert np.allclose(matricize(Y, 1), apply_embedding(E, matricize(X, 1)), atol=1e-13)
+    for kind in ("srft", "gaussian"):
+        for mode in range(3):
+            E = make_embedding(kind, X.shape[mode], 3, 5)
+            Y = apply_embedding_mode(E, X, mode)
+            shape = list(X.shape)
+            shape[mode] = 3
+            assert Y.shape == tuple(shape)
+            assert np.allclose(Y, mode_multiply(X, embedding_matrix(E), mode), atol=1e-13)
+            assert np.allclose(matricize(Y, mode), apply_embedding(E, matricize(X, mode)), atol=1e-13)
 
 
 def test_sample_size_rounds_half_up():
@@ -144,6 +154,15 @@ def test_mix_preserves_norm_and_unmixes():
     # no-op for untouched modes
     H = gen.standard_normal((6, 2))
     assert np.array_equal(unmix_factor(H, ops, 1), H)
+
+
+@pytest.mark.parametrize("modes", [(0, 1, 2), (0, 2)])
+def test_mix_matches_dense_mode_products(modes):
+    gen = np.random.default_rng(8)
+    X = gen.standard_normal((5, 6, 4))
+    ops = make_mix_operators(X.shape, modes, seed=11)
+    dense = [None if s is None else dct_matrix(len(s)) * s[None, :] for s in ops.signs]
+    assert np.allclose(mix(X, ops), multi_mode_multiply(X, dense), atol=1e-13)
 
 
 def test_mix_with_no_modes_is_identity():

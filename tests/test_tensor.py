@@ -82,7 +82,10 @@ def test_mode_multiply_matches_index_loop_oracle_exactly():
         X = integer_tensor(gen, shape)
         for mode in range(len(shape)):
             B = integer_tensor(gen, (int(gen.integers(1, 6)), shape[mode]))
-            assert np.array_equal(mode_multiply(X, B, mode), mode_multiply_oracle(X, B, mode))
+            want = mode_multiply_oracle(X, B, mode)
+            assert np.array_equal(mode_multiply(X, B, mode), want)
+            # first-index-fastest storage (as from_vec and the TKR1 reader return)
+            assert np.array_equal(mode_multiply(np.asfortranarray(X), B, mode), want)
 
 
 def test_mode_multiply_unfolding_identity():

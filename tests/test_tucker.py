@@ -121,10 +121,14 @@ def test_apply_mode_map_singular_column_raises():
 
 
 def test_psi_matrix_unfolding_identity():
-    T = random_orthogonal((4, 5, 3), (2, 2, 3), seed=5)
-    Y = reconstruct(T)
-    for j in range(3):
-        assert np.allclose(matricize(Y, j), T.factors[j] @ psi_matrix(T, j), atol=1e-12)
+    # the order-1 case has no other factor: W is the core as a column
+    for dims, ranks in [((4, 5, 3), (2, 2, 3)), ((6,), (2,))]:
+        T = random_orthogonal(dims, ranks, seed=5)
+        Y = reconstruct(T)
+        for j in range(len(dims)):
+            psi = psi_matrix(T, j)
+            assert psi.shape == (ranks[j], int(np.prod(dims)) // dims[j])
+            assert np.allclose(matricize(Y, j), T.factors[j] @ psi, atol=1e-12)
 
 
 def test_norm_via_gram_special_cases():
