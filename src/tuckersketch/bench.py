@@ -42,10 +42,12 @@ CSV_COLUMNS = [
     "time_total_s",
     "error",
     "prep_ms",
+    "init_ms",
     "embed_gen_ms",
     "embed_apply_ms",
     "factor_ms",
     "core_ms",
+    "finalize_ms",
 ]
 
 _METHOD_IDS = {name: i for i, name in enumerate(METHODS)}
@@ -124,10 +126,12 @@ class BenchRow:
     time_total_s: float
     error: float
     prep_ms: float
+    init_ms: float
     embed_gen_ms: float
     embed_apply_ms: float
     factor_ms: float
     core_ms: float
+    finalize_ms: float
 
     def to_record(self) -> dict:
         return {c: getattr(self, c) for c in CSV_COLUMNS}
@@ -180,9 +184,12 @@ def run_bench(X, config: BenchConfig, csv_path=None, summary_path=None):
             _, report = decompose(X, dconf)
         except Exception as exc:  # record, do not abort the sweep
             failed.append({"method": method, "R": R, "dr": dr, "rep": rep, "error": str(exc)})
+            nan = float("nan")
             rows.append(
-                BenchRow(method, R, dr, rep, run_seed, 0, time.perf_counter() - t0,
-                         float("nan"), *([float("nan")] * 5))
+                BenchRow(method=method, R=R, dr=dr, rep=rep, seed=run_seed, iters=0,
+                         time_total_s=time.perf_counter() - t0, error=nan, prep_ms=nan,
+                         init_ms=nan, embed_gen_ms=nan, embed_apply_ms=nan, factor_ms=nan,
+                         core_ms=nan, finalize_ms=nan)
             )
             continue
         rows.append(
@@ -196,10 +203,12 @@ def run_bench(X, config: BenchConfig, csv_path=None, summary_path=None):
                 time_total_s=time.perf_counter() - t0,
                 error=report.final_error,
                 prep_ms=report.preprocess_ms,
+                init_ms=report.mean_stage_ms("init"),
                 embed_gen_ms=report.mean_stage_ms("embed_generate"),
                 embed_apply_ms=report.mean_stage_ms("embed_apply"),
                 factor_ms=report.mean_stage_ms("factor_update"),
                 core_ms=report.mean_stage_ms("core_update"),
+                finalize_ms=report.mean_stage_ms("finalize"),
             )
         )
     summary = summarize(rows)
@@ -251,10 +260,12 @@ def summarize(rows: list[BenchRow]) -> dict:
                 "iters_mean": float(np.mean([g.iters for g in group])),
                 "stage_ms_per_iter": {
                     "prep": _mean_sd([g.prep_ms for g in group]),
+                    "init": _mean_sd([g.init_ms for g in group]),
                     "embed_generate": _mean_sd([g.embed_gen_ms for g in group]),
                     "embed_apply": _mean_sd([g.embed_apply_ms for g in group]),
                     "factor_update": _mean_sd([g.factor_ms for g in group]),
                     "core_update": _mean_sd([g.core_ms for g in group]),
+                    "finalize": _mean_sd([g.finalize_ms for g in group]),
                 },
             }
         )

@@ -328,6 +328,35 @@ def _sq_norm_on_core(core: np.ndarray, factors) -> float:
     return inner(core, multi_mode_multiply(core, [A.T @ A for A in factors]))
 
 
+def _tail_report(
+    name: str, params: BoundParams, admissible_eps, distortion, family: str, details: dict
+) -> BoundReport:
+    """Tail check shared by the multimode and residual distortion checks.
+
+    Runs ``distortion(t)`` for every trial t; passing means the fraction
+    of trials whose distortion exceeds eps is at most eta plus binomial
+    slack.  Raises if ``embed_dims`` is unset or eps exceeds
+    ``admissible_eps(rmax, order)``, the range of the guarantee checked.
+    """
+    if params.embed_dims is None:
+        raise ValueError("embed_dims must be set for distortion checks")
+    limit = admissible_eps(max(params.ranks), params.order)
+    if params.eps > limit:
+        raise ValueError(f"eps={params.eps} exceeds admissible bound {limit:.4f}")
+    distortions = [distortion(t) for t in range(params.trials)]
+    failures = sum(1 for d in distortions if d > params.eps)
+    threshold = _binomial_threshold(params.eta, params.trials)
+    return BoundReport(
+        name=name,
+        trials=params.trials,
+        failures=failures,
+        threshold=threshold,
+        passed=failures / params.trials <= threshold,
+        distortions=distortions,
+        details={"family": family, "embed_dims": list(params.embed_dims), **details},
+    )
+
+
 def check_multimode_distortion(params: BoundParams, family: str = "gaussian") -> BoundReport:
     """Monte-Carlo tail check for squared-norm distortion of low-rank draws.
 
@@ -343,36 +372,17 @@ def check_multimode_distortion(params: BoundParams, family: str = "gaussian") ->
     outside the admissible range of the guarantee being checked.
     """
     params.validate()
-    if params.embed_dims is None:
-        raise ValueError("embed_dims must be set for distortion checks")
-    rmax = max(params.ranks)
-    limit = max_admissible_eps(rmax, params.order)
-    if params.eps > limit:
-        raise ValueError(f"eps={params.eps} exceeds admissible bound {limit:.4f}")
-    distortions = []
-    failures = 0
-    for t in range(params.trials):
+
+    def distortion(t: int) -> float:
         T = random_orthogonal_tucker(params.dims, params.ranks, rng.stream(params.seed, rng.TRIAL, t, 0))
         embedded = [
             apply_embedding(make_embedding(family, n, m, rng.child_seed(params.seed, rng.TRIAL, t, 1 + j)), F)
             for j, (n, m, F) in enumerate(zip(params.dims, params.embed_dims, T.factors))
         ]
         sq = _sq_norm_on_core(T.core, T.factors)
-        d = abs(_sq_norm_on_core(T.core, embedded) - sq) / sq
-        distortions.append(d)
-        if d > params.eps:
-            failures += 1
-    threshold = _binomial_threshold(params.eta, params.trials)
-    frac = failures / params.trials
-    return BoundReport(
-        name="multimode-distortion",
-        trials=params.trials,
-        failures=failures,
-        threshold=threshold,
-        passed=frac <= threshold,
-        distortions=distortions,
-        details={"family": family, "embed_dims": list(params.embed_dims)},
-    )
+        return abs(_sq_norm_on_core(T.core, embedded) - sq) / sq
+
+    return _tail_report("multimode-distortion", params, max_admissible_eps, distortion, family, {})
 
 
 def _residual_split(Xm: np.ndarray, W: np.ndarray):
@@ -444,8 +454,6 @@ def check_residual_distortion(
     difference, so there is no cancellation when Y is close to X.
     """
     params.validate()
-    if params.embed_dims is None:
-        raise ValueError("embed_dims must be set for distortion checks")
     X = as_tensor(X)
     if X.shape != tuple(params.dims):
         raise ValueError(f"tensor shape {X.shape} does not match dims {tuple(params.dims)}")
@@ -453,15 +461,10 @@ def check_residual_distortion(
     shapes = [np.shape(f) for f in factors]
     if core.ndim != params.order or shapes != list(zip(params.dims, core.shape)):
         raise ValueError(f"factor shapes {shapes} do not match dims {tuple(params.dims)} and core {core.shape}")
-    rmax = max(params.ranks)
-    limit = max_admissible_residual_eps(rmax, params.order)
-    if params.eps > limit:
-        raise ValueError(f"eps={params.eps} exceeds admissible bound {limit:.4f}")
     samples, n, r = params.y_samples, params.dims[mode], core.shape[mode]
     split = _residual_split(matricize(X, mode), _psi(core, factors, mode))
-    distortions = []
-    failures = 0
-    for t in range(params.trials):
+
+    def worst_distortion(t: int) -> float:
         embeds = [
             make_embedding(family, n, m, rng.child_seed(params.seed, rng.TRIAL, t, 1 + j))
             for j, (n, m) in enumerate(zip(params.dims, params.embed_dims))
@@ -478,27 +481,18 @@ def check_residual_distortion(
         sq = _sq_residuals(split, cands)
         lsq = _sq_residuals(_residual_split(matricize(LX, mode), LW), lcands)
         keep = sq != 0.0
-        worst = float(np.max(np.abs(lsq[keep] - sq[keep]) / sq[keep], initial=0.0))
-        distortions.append(worst)
-        if worst > params.eps:
-            failures += 1
-    threshold = _binomial_threshold(params.eta, params.trials)
-    frac = failures / params.trials
-    details = {"family": family, "embed_dims": list(params.embed_dims), "y_samples": params.y_samples}
-    if report_subspace_dim:
-        details["subspace_dim_estimate"] = estimate_subspace_dim(core, factors, mode)
-        details["residual_dim_bound"] = residual_embedding_dim_bound(
-            params, details["subspace_dim_estimate"]
-        )
-    return BoundReport(
-        name="residual-distortion",
-        trials=params.trials,
-        failures=failures,
-        threshold=threshold,
-        passed=frac <= threshold,
-        distortions=distortions,
-        details=details,
+        return float(np.max(np.abs(lsq[keep] - sq[keep]) / sq[keep], initial=0.0))
+
+    report = _tail_report(
+        "residual-distortion", params, max_admissible_residual_eps, worst_distortion, family,
+        {"y_samples": params.y_samples},
     )
+    if report_subspace_dim:
+        report.details["subspace_dim_estimate"] = estimate_subspace_dim(core, factors, mode)
+        report.details["residual_dim_bound"] = residual_embedding_dim_bound(
+            params, report.details["subspace_dim_estimate"]
+        )
+    return report
 
 
 # ---------------------------------------------------------------------------

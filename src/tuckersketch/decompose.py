@@ -1,10 +1,16 @@
-"""Tucker solvers: truncated HOSVD and three orthogonal-iteration variants.
+"""Tucker solvers: one staged engine for the truncated HOSVD and three
+orthogonal-iteration variants.
 
-All solvers return factors with orthonormal columns plus a run report
-with per-iteration stage timings.  The iterative methods share one ALS
-sweep structure; they differ in what data the sweep sees:
+Every method runs the same phases, mix -> init -> sweeps -> finalize, and
+returns factors with orthonormal columns plus a run report.  The methods
+differ only in the compressed modes, the number of sweeps and the data
+the core is fitted to:
 
-* ``hooi``          classic alternating scheme on the raw tensor.
+* ``hosvd``         the default initial guess on the raw tensor followed
+                    by zero sweeps.
+* ``hooi``          no compressed mode: mixing and unmixing are the
+                    identity, no rows are sampled, and each sweep is the
+                    classic alternating scheme on the raw tensor.
 * ``hooi-re``       the tensor is mixed once along the compressed modes
                     (random signs then orthonormal DCT-II), every sweep
                     redraws a row sample per compressed mode, factor
@@ -27,12 +33,19 @@ measured on the data the method actually fits (sketched data for
 ``hooi-re``, mixed data for ``hooi-re-star``), improves by less than
 ``rel_tol``.  The reported ``final_error`` is always the Frobenius
 reconstruction error against the original input, after the factors are
-pulled back through the mixing maps.
+pulled back through the mixing maps; with zero sweeps the fit trace holds
+the one fit of the initial guess.
+
+Every phase is timed: the mix in ``preprocess_ms``, the initial guess and
+the finalisation (unmixing plus final error) as one-entry ``"init"`` and
+``"finalize"`` lists of ``stage_times``, and each sweep in the four
+``STAGES``.
 """
 
 from __future__ import annotations
 
 import time
+from contextlib import contextmanager
 from dataclasses import asdict, dataclass, field, replace
 
 import numpy as np
@@ -168,11 +181,17 @@ def _polar_factor(M: np.ndarray) -> np.ndarray:
     return U @ Vt
 
 
-def _ls_core(Xc: np.ndarray, sketched: list[np.ndarray]) -> np.ndarray:
-    """Least-squares core of sketched data: one pseudoinverse (relative
-    cutoff 1e-12) per sketched factor, so full-rank, rank-deficient and
-    undersampled factors take the same path."""
-    return multi_mode_multiply(Xc, [np.linalg.pinv(S, rcond=_PINV_RCOND) for S in sketched])
+def _core(data: np.ndarray, factors: list[np.ndarray], least_squares: bool) -> np.ndarray:
+    """Core of ``data`` for fixed ``factors``.
+
+    Sketched data takes least squares by one pseudoinverse (relative
+    cutoff 1e-12) per factor, so full-rank, rank-deficient and
+    undersampled sketches take the same path; unsketched data takes the
+    orthogonal projection onto the factors.
+    """
+    if least_squares:
+        return multi_mode_multiply(data, [np.linalg.pinv(f, rcond=_PINV_RCOND) for f in factors])
+    return multi_mode_multiply(data, [f.T for f in factors])
 
 
 def _draw_samples(seed: int, it: int, shape, sizes: dict[int, int]) -> dict[int, np.ndarray]:
@@ -200,8 +219,37 @@ def _require_finite(X: np.ndarray) -> None:
         raise ValueError("input tensor must be finite (found inf or nan entries)")
 
 
-def _hosvd_factors(X: np.ndarray, ranks) -> list[np.ndarray]:
-    return [_leading_left_vectors(matricize(X, j), r) for j, r in enumerate(ranks)]
+@contextmanager
+def _timed(times: dict[str, float], key: str):
+    """Add the wall time of the block, in ms, to ``times[key]``."""
+    t0 = time.perf_counter()
+    yield
+    times[key] = times.get(key, 0.0) + (time.perf_counter() - t0) * 1e3
+
+
+def _initial_guess(Xw: np.ndarray, config: DecomposerConfig, samples, scales):
+    """Starting factors and core on the (possibly mixed) working tensor.
+
+    ``samples`` are the iteration-0 row samples of the compressed modes
+    (none when nothing is compressed, which makes this the truncated
+    HOSVD).  The default sketches the working tensor along the other
+    modes before each factor SVD, so initialisation costs no more than
+    one sweep; the core starts from the same least-squares problem the
+    first sweep will solve.  ``init="random"`` draws orthonormal bases
+    instead, except for ``hosvd``, which is the default init by definition.
+    """
+    if config.init == "random" and config.method != "hosvd":
+        factors = []
+        for j, r in enumerate(config.ranks):
+            G = rng.stream(config.seed, rng.INIT, j).standard_normal((Xw.shape[j], r))
+            factors.append(_fix_sign(np.linalg.qr(G)[0]))
+    else:
+        factors = [
+            _leading_left_vectors(matricize(_sketch(Xw, samples, scales, skip=j), j), r)
+            for j, r in enumerate(config.ranks)
+        ]
+    core = _core(_sketch(Xw, samples, scales), _sketched_factors(factors, samples, scales), bool(samples))
+    return factors, core
 
 
 def hosvd(X, ranks) -> TuckerDecomposition:
@@ -211,143 +259,74 @@ def hosvd(X, ranks) -> TuckerDecomposition:
     unfolding; the core is the projection of ``X`` onto those bases.
     """
     X = as_tensor(X)
-    DecomposerConfig(ranks=tuple(ranks), method="hosvd").validate(X.shape)
+    config = DecomposerConfig(ranks=tuple(ranks), method="hosvd")
+    config.validate(X.shape)
     _require_finite(X)
-    factors = _hosvd_factors(X, ranks)
-    core = multi_mode_multiply(X, [f.T for f in factors])
+    factors, core = _initial_guess(X, config, {}, {})
     return TuckerDecomposition(core, factors, orthogonal=True)
 
 
-def _run_hosvd(X: np.ndarray, config: DecomposerConfig):
-    stage = {name: [0.0] for name in STAGES}
-    t0 = time.perf_counter()
-    factors = _hosvd_factors(X, config.ranks)
-    stage["factor_update"][0] = (time.perf_counter() - t0) * 1e3
-    t0 = time.perf_counter()
-    core = multi_mode_multiply(X, [f.T for f in factors])
-    stage["core_update"][0] = (time.perf_counter() - t0) * 1e3
-    T = TuckerDecomposition(core, factors, orthogonal=True)
-    err = reconstruction_error(X, T)
-    nx = norm(X)
-    report = RunReport(
-        method="hosvd",
-        ranks=tuple(config.ranks),
-        dr=config.dr,
-        seed=config.seed,
-        iterations=1,
-        final_error=err,
-        fit_trace=[1.0 - err / nx],
-        stage_times=stage,
-        preprocess_ms=0.0,
-    )
-    return T, report
-
-
-def _initial_guess(Xw: np.ndarray, config: DecomposerConfig, sizes: dict[int, int], scales):
-    """Starting factors and core on the (possibly mixed) working tensor.
-
-    Uses the iteration-0 row samples of the compressed modes (none when
-    nothing is compressed).  The default sketches the working tensor along
-    the other modes before each factor SVD, so initialisation costs no
-    more than one sweep; the core starts from the same least-squares
-    problem the first sweep will solve.  ``init="random"`` draws
-    orthonormal bases instead.
-    """
-    q = Xw.ndim
-    samples = _draw_samples(config.seed, 0, Xw.shape, sizes)
-    if config.init == "random":
-        factors = []
-        for j in range(q):
-            G = rng.stream(config.seed, rng.INIT, j).standard_normal((Xw.shape[j], config.ranks[j]))
-            factors.append(_fix_sign(np.linalg.qr(G)[0]))
-    else:
-        factors = [
-            _leading_left_vectors(matricize(_sketch(Xw, samples, scales, skip=j), j), config.ranks[j])
-            for j in range(q)
-        ]
-    if samples:
-        core = _ls_core(_sketch(Xw, samples, scales), _sketched_factors(factors, samples, scales))
-    else:
-        core = multi_mode_multiply(Xw, [f.T for f in factors])
-    return factors, core
-
-
-def _run_hooi_family(X: np.ndarray, config: DecomposerConfig):
+def _run(X: np.ndarray, config: DecomposerConfig):
+    """mix -> init -> sweeps -> finalize, with every phase timed."""
     q = X.ndim
     randomized = config.method in RANDOMIZED
-    sketched_core = config.method == "hooi-re"
     modes = config.resolved_compress_modes(q) if randomized else ()
     sizes = {j: sample_size(config.dr, X.shape[j]) for j in modes}
     scales = {j: float(np.sqrt(X.shape[j] / sizes[j])) for j in modes}
+    sweeps = 0 if config.method == "hosvd" else config.max_iters
+    run: dict[str, float] = {}
 
-    t0 = time.perf_counter()
-    if randomized:
+    with _timed(run, "mix"):
         ops = make_mix_operators(X.shape, modes, config.seed)
         Xw = mix(X, ops)
-    else:
-        ops = None
-        Xw = X
-    preprocess_ms = (time.perf_counter() - t0) * 1e3
+    with _timed(run, "init"):
+        factors, core = _initial_guess(Xw, config, _draw_samples(config.seed, 0, X.shape, sizes), scales)
 
-    factors, core = _initial_guess(Xw, config, sizes, scales)
-    norm_full = norm(Xw)
     stage: dict[str, list[float]] = {name: [] for name in STAGES}
     fit_trace: list[float] = []
     fit_prev = -np.inf
-
-    for it in range(1, config.max_iters + 1):
-        t0 = time.perf_counter()
-        samples = _draw_samples(config.seed, it, X.shape, sizes)
-        stage["embed_generate"].append((time.perf_counter() - t0) * 1e3)
-
-        embed_ms = 0.0
-        factor_ms = 0.0
+    for it in range(1, sweeps + 1):
+        ms = dict.fromkeys(STAGES, 0.0)
+        with _timed(ms, "embed_generate"):
+            samples = _draw_samples(config.seed, it, X.shape, sizes)
         for j in range(q):
-            t0 = time.perf_counter()
-            Xj = _sketch(Xw, samples, scales, skip=j)
-            embed_ms += (time.perf_counter() - t0) * 1e3
-
-            t0 = time.perf_counter()
-            sketched = _sketched_factors(factors, samples, scales)
-            W = multi_mode_multiply(Xj, [None if k == j else S.T for k, S in enumerate(sketched)])
-            factors[j] = _polar_factor(matricize(W, j) @ matricize(core, j).T)
-            factor_ms += (time.perf_counter() - t0) * 1e3
-
-        t0 = time.perf_counter()
-        if sketched_core:
-            Xc = _sketch(Xw, samples, scales)
-        embed_ms += (time.perf_counter() - t0) * 1e3
-        stage["embed_apply"].append(embed_ms)
-        stage["factor_update"].append(factor_ms)
-
-        t0 = time.perf_counter()
-        if sketched_core:
-            sketched = _sketched_factors(factors, samples, scales)
-            core = _ls_core(Xc, sketched)
-            fit = 1.0 - norm(Xc - multi_mode_multiply(core, sketched)) / norm(Xc)
-        else:
-            core = multi_mode_multiply(Xw, [f.T for f in factors])
-            fit = 1.0 - norm(Xw - multi_mode_multiply(core, factors)) / norm_full
-        stage["core_update"].append((time.perf_counter() - t0) * 1e3)
-
+            with _timed(ms, "embed_apply"):
+                Xj = _sketch(Xw, samples, scales, skip=j)
+            with _timed(ms, "factor_update"):
+                sketched = _sketched_factors(factors, samples, scales)
+                W = multi_mode_multiply(Xj, [None if k == j else S.T for k, S in enumerate(sketched)])
+                factors[j] = _polar_factor(matricize(W, j) @ matricize(core, j).T)
+        # hooi-re fits the core to the fully sketched data, the others to Xw
+        core_samples = samples if config.method == "hooi-re" else {}
+        with _timed(ms, "embed_apply"):
+            data = _sketch(Xw, core_samples, scales)
+        with _timed(ms, "core_update"):
+            fitted = _sketched_factors(factors, core_samples, scales)
+            core = _core(data, fitted, bool(core_samples))
+            fit = 1.0 - norm(data - multi_mode_multiply(core, fitted)) / norm(data)
+        for name in STAGES:
+            stage[name].append(ms[name])
         fit_trace.append(fit)
         if fit - fit_prev < config.rel_tol:
             break
         fit_prev = fit
 
-    if randomized:
+    with _timed(run, "finalize"):
         factors = [unmix_factor(f, ops, j) for j, f in enumerate(factors)]
-    T = TuckerDecomposition(core, factors, orthogonal=True)
+        T = TuckerDecomposition(core, factors, orthogonal=True)
+        final_error = reconstruction_error(X, T)
+        if not fit_trace:  # no sweep: report the fit of the initial guess
+            fit_trace.append(1.0 - final_error / norm(X))
     report = RunReport(
         method=config.method,
         ranks=tuple(config.ranks),
         dr=config.dr if randomized else 1.0,
         seed=config.seed,
         iterations=len(fit_trace),
-        final_error=reconstruction_error(X, T),
+        final_error=final_error,
         fit_trace=fit_trace,
-        stage_times=stage,
-        preprocess_ms=preprocess_ms,
+        stage_times={"init": [run["init"]], **stage, "finalize": [run["finalize"]]},
+        preprocess_ms=run["mix"],
     )
     return T, report
 
@@ -359,9 +338,7 @@ def decompose(X, config: DecomposerConfig):
     _require_finite(X)
     if norm(X) == 0.0:
         raise ValueError("cannot decompose a zero tensor (fit undefined)")
-    if config.method == "hosvd":
-        return _run_hosvd(X, config)
-    return _run_hooi_family(X, config)
+    return _run(X, config)
 
 
 def hooi(X, config: DecomposerConfig):

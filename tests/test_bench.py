@@ -112,14 +112,18 @@ def test_bench_rows_round_trip_and_summary_recompute(tmp_path):
 
 def test_bench_stage_sums_bounded_by_total():
     X = synth_tensor((12, 12, 12), (2, 2, 2), 0.1, 5)
-    rows, _ = run_bench(
-        X, BenchConfig(methods=("hooi-re",), ranks=(2,), dr_grid=(0.5,), reps=2, seed=2)
+    rows, summary = run_bench(
+        X, BenchConfig(methods=("hosvd", "hooi-re"), ranks=(2,), dr_grid=(0.5,), reps=2, seed=2)
     )
     for r in rows:
-        stage_total_s = (
-            r.prep_ms + r.iters * (r.embed_gen_ms + r.embed_apply_ms + r.factor_ms + r.core_ms)
-        ) / 1e3
+        sweeps_ms = r.iters * (r.embed_gen_ms + r.embed_apply_ms + r.factor_ms + r.core_ms)
+        stage_total_s = (r.prep_ms + r.init_ms + sweeps_ms + r.finalize_ms) / 1e3
         assert stage_total_s <= r.time_total_s + 1e-3
+        assert r.init_ms > 0.0 and r.finalize_ms > 0.0
+        if r.method == "hosvd":  # no sweep: the SVDs are the initial guess
+            assert r.embed_gen_ms == r.embed_apply_ms == r.factor_ms == r.core_ms == 0.0
+    for cell in summary["cells"]:
+        assert {"init", "finalize"} <= set(cell["stage_ms_per_iter"])
 
 
 def test_bench_error_column_bitwise_reproducible():

@@ -1,4 +1,5 @@
 import json
+import time
 
 import numpy as np
 import pytest
@@ -205,6 +206,42 @@ def test_run_report_shape_and_json():
     assert parsed["method"] == "hooi-re"
     assert parsed["iterations"] == report.iterations
     assert parsed["final_error"] == report.final_error
+
+
+def test_deterministic_methods_report_dr_one():
+    # hosvd used to echo the configured dr where hooi reports 1.0
+    X = noisy_tensor((8, 8, 8), (2, 2, 2), 0.1, 22)
+    for method in ("hosvd", "hooi"):
+        _, report = decompose(X, DecomposerConfig(ranks=(2, 2, 2), method=method, dr=0.5))
+        assert report.dr == 1.0
+
+
+def test_hosvd_is_the_initial_guess_with_no_sweep_whatever_the_init():
+    X = noisy_tensor((9, 8, 7), (2, 3, 2), 0.1, 23)
+    ref = hosvd(X, (2, 3, 2))
+    for init in ("hosvd", "random"):
+        T, report = decompose(X, DecomposerConfig(ranks=(2, 3, 2), method="hosvd", init=init, seed=3))
+        assert T.core.tobytes() == ref.core.tobytes()
+        assert [f.tobytes() for f in T.factors] == [f.tobytes() for f in ref.factors]
+        assert report.iterations == 1
+        assert report.fit_trace == [1.0 - report.final_error / norm(X)]
+        assert all(report.stage_times[stage] == [] for stage in STAGES)
+        assert len(report.stage_times["init"]) == len(report.stage_times["finalize"]) == 1
+
+
+@pytest.mark.parametrize("method", ["hosvd", "hooi", "hooi-re", "hooi-re-star"])
+def test_stage_times_cover_the_wall_time(method):
+    X = noisy_tensor((80, 80, 80), (5, 5, 5), 0.1, 24)
+    config = DecomposerConfig(ranks=(5, 5, 5), method=method, dr=0.5, seed=1)
+    coverage = []
+    for _ in range(2):  # one preempted unstaged millisecond should not decide the test
+        t0 = time.perf_counter()
+        _, report = decompose(X, config)
+        wall_ms = (time.perf_counter() - t0) * 1e3
+        staged_ms = report.preprocess_ms + sum(sum(times) for times in report.stage_times.values())
+        assert staged_ms <= wall_ms
+        coverage.append(staged_ms / wall_ms)
+    assert max(coverage) >= 0.9
 
 
 @pytest.mark.parametrize("bad", [np.inf, -np.inf, np.nan])
