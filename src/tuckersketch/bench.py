@@ -12,7 +12,7 @@ from __future__ import annotations
 import csv
 import json
 import time
-from dataclasses import dataclass, fields
+from dataclasses import asdict, dataclass, fields
 from pathlib import Path
 from typing import get_type_hints
 
@@ -30,24 +30,6 @@ __all__ = [
     "run_bench",
     "read_rows",
     "summarize",
-]
-
-CSV_COLUMNS = [
-    "method",
-    "R",
-    "dr",
-    "rep",
-    "seed",
-    "iters",
-    "time_total_s",
-    "error",
-    "prep_ms",
-    "init_ms",
-    "embed_gen_ms",
-    "embed_apply_ms",
-    "factor_ms",
-    "core_ms",
-    "finalize_ms",
 ]
 
 _METHOD_IDS = {name: i for i, name in enumerate(METHODS)}
@@ -91,9 +73,6 @@ class BenchConfig:
     reps: int = 100
     seed: int = 1
     compress_modes: tuple[int, ...] | None = None
-    max_iters: int = 100
-    rel_tol: float = 1e-5
-    init: str = "hosvd"
 
     def validate(self, shape: tuple[int, ...]) -> None:
         if not self.methods:
@@ -134,13 +113,29 @@ class BenchRow:
     finalize_ms: float
 
     def to_record(self) -> dict:
-        return {c: getattr(self, c) for c in CSV_COLUMNS}
+        return asdict(self)
 
     @classmethod
     def from_record(cls, rec: dict) -> "BenchRow":
         """Parse a record of strings, converting each field to its annotated type."""
         types = get_type_hints(cls)
         return cls(**{f.name: types[f.name](rec[f.name]) for f in fields(cls)})
+
+
+CSV_COLUMNS = [f.name for f in fields(BenchRow)]
+
+# timing column -> the stage it reports, which is also its key in the
+# summary's stage block; "prep" is the one-time RunReport.preprocess_ms,
+# every other stage the mean of its RunReport.stage_times list
+_TIMINGS = {
+    "prep_ms": "prep",
+    "init_ms": "init",
+    "embed_gen_ms": "embed_generate",
+    "embed_apply_ms": "embed_apply",
+    "factor_ms": "factor_update",
+    "core_ms": "core_update",
+    "finalize_ms": "finalize",
+}
 
 
 def _cells(config: BenchConfig):
@@ -174,41 +169,28 @@ def run_bench(X, config: BenchConfig, csv_path=None, summary_path=None):
             method=method,
             dr=dr,
             compress_modes=config.compress_modes,
-            max_iters=config.max_iters,
-            rel_tol=config.rel_tol,
             seed=run_seed,
-            init=config.init,
         )
+        cell = dict(method=method, R=R, dr=dr, rep=rep, seed=run_seed)
         t0 = time.perf_counter()
         try:
             _, report = decompose(X, dconf)
         except Exception as exc:  # record, do not abort the sweep
             failed.append({"method": method, "R": R, "dr": dr, "rep": rep, "error": str(exc)})
             nan = float("nan")
-            rows.append(
-                BenchRow(method=method, R=R, dr=dr, rep=rep, seed=run_seed, iters=0,
-                         time_total_s=time.perf_counter() - t0, error=nan, prep_ms=nan,
-                         init_ms=nan, embed_gen_ms=nan, embed_apply_ms=nan, factor_ms=nan,
-                         core_ms=nan, finalize_ms=nan)
-            )
+            rows.append(BenchRow(**cell, iters=0, time_total_s=time.perf_counter() - t0, error=nan,
+                                 **dict.fromkeys(_TIMINGS, nan)))
             continue
         rows.append(
             BenchRow(
-                method=method,
-                R=R,
-                dr=dr,
-                rep=rep,
-                seed=run_seed,
+                **cell,
                 iters=report.iterations,
                 time_total_s=time.perf_counter() - t0,
                 error=report.final_error,
-                prep_ms=report.preprocess_ms,
-                init_ms=report.mean_stage_ms("init"),
-                embed_gen_ms=report.mean_stage_ms("embed_generate"),
-                embed_apply_ms=report.mean_stage_ms("embed_apply"),
-                factor_ms=report.mean_stage_ms("factor_update"),
-                core_ms=report.mean_stage_ms("core_update"),
-                finalize_ms=report.mean_stage_ms("finalize"),
+                **{
+                    col: report.preprocess_ms if stage == "prep" else report.mean_stage_ms(stage)
+                    for col, stage in _TIMINGS.items()
+                },
             )
         )
     summary = summarize(rows)
@@ -259,13 +241,7 @@ def summarize(rows: list[BenchRow]) -> dict:
                 "time_total_s": _mean_sd([g.time_total_s for g in group]),
                 "iters_mean": float(np.mean([g.iters for g in group])),
                 "stage_ms_per_iter": {
-                    "prep": _mean_sd([g.prep_ms for g in group]),
-                    "init": _mean_sd([g.init_ms for g in group]),
-                    "embed_generate": _mean_sd([g.embed_gen_ms for g in group]),
-                    "embed_apply": _mean_sd([g.embed_apply_ms for g in group]),
-                    "factor_update": _mean_sd([g.factor_ms for g in group]),
-                    "core_update": _mean_sd([g.core_ms for g in group]),
-                    "finalize": _mean_sd([g.finalize_ms for g in group]),
+                    stage: _mean_sd([getattr(g, col) for g in group]) for col, stage in _TIMINGS.items()
                 },
             }
         )

@@ -77,7 +77,6 @@ class BoundParams:
     ranks: tuple[int, ...]
     trials: int
     embed_dims: tuple[int, ...] | None = None
-    cconst: float = 1.0
     seed: int = 0
     y_samples: int = 20
 
@@ -99,8 +98,6 @@ class BoundParams:
             raise ValueError("trials must be at least 1")
         if self.embed_dims is not None and len(self.embed_dims) != len(self.dims):
             raise ValueError("embed_dims must list one size per mode")
-        if self.cconst <= 0:
-            raise ValueError("cconst must be positive")
         if self.y_samples < 1:
             raise ValueError("y_samples must be at least 1")
 
@@ -165,14 +162,15 @@ def max_admissible_residual_eps(rmax: int, order: int) -> float:
 def embedding_dim_bound(params: BoundParams) -> list[int]:
     """Per-mode sample sizes sufficient for the multimode guarantee.
 
-    Computes ``ceil((C rmax^2 q^2 / eps^2) ln(R_j^2 q / eta))`` per mode,
-    clamped to at least 1 (the logarithm can go nonpositive in degenerate
-    corners such as eta near 1 with R_j = q = 1).
+    Computes ``ceil((C rmax^2 q^2 / eps^2) ln(R_j^2 q / eta))`` per mode
+    with the unspecified absolute constant C taken as 1, clamped to at
+    least 1 (the logarithm can go nonpositive in degenerate corners such
+    as eta near 1 with R_j = q = 1).
     """
     params.validate()
     q = params.order
     rmax = max(params.ranks)
-    lead = params.cconst * rmax**2 * q**2 / params.eps**2
+    lead = rmax**2 * q**2 / params.eps**2
     out = []
     for r in params.ranks:
         val = lead * math.log(r**2 * q / params.eta)
@@ -183,21 +181,16 @@ def embedding_dim_bound(params: BoundParams) -> list[int]:
 def residual_embedding_dim_bound(params: BoundParams, p_dim: int) -> int:
     """Sample size sufficient for the residual-distortion guarantee.
 
-    Computes ``ceil((C (q+1)^3 p / eps^2) ln(4 nmax / eta^(1/(q+1))))``,
-    clamped to at least 1.
+    Computes ``ceil((C (q+1)^3 p / eps^2) ln(4 nmax / eta^(1/(q+1))))``
+    with the unspecified absolute constant C taken as 1, clamped to at
+    least 1.
     """
     params.validate()
     if p_dim < 1:
         raise ValueError("subspace dimension must be at least 1")
     q = params.order
     nmax = max(params.dims)
-    val = (
-        params.cconst
-        * (q + 1) ** 3
-        * p_dim
-        / params.eps**2
-        * math.log(4.0 * nmax / params.eta ** (1.0 / (q + 1)))
-    )
+    val = (q + 1) ** 3 * p_dim / params.eps**2 * math.log(4.0 * nmax / params.eta ** (1.0 / (q + 1)))
     return max(1, math.ceil(val))
 
 
@@ -357,6 +350,14 @@ def _tail_report(
     )
 
 
+def _trial_embeddings(params: BoundParams, family: str, t: int) -> list[Embedding]:
+    """Fresh per-mode embeddings of trial t at the configured sizes."""
+    return [
+        make_embedding(family, n, m, rng.child_seed(params.seed, rng.TRIAL, t, 1 + j))
+        for j, (n, m) in enumerate(zip(params.dims, params.embed_dims))
+    ]
+
+
 def check_multimode_distortion(params: BoundParams, family: str = "gaussian") -> BoundReport:
     """Monte-Carlo tail check for squared-norm distortion of low-rank draws.
 
@@ -375,10 +376,7 @@ def check_multimode_distortion(params: BoundParams, family: str = "gaussian") ->
 
     def distortion(t: int) -> float:
         T = random_orthogonal_tucker(params.dims, params.ranks, rng.stream(params.seed, rng.TRIAL, t, 0))
-        embedded = [
-            apply_embedding(make_embedding(family, n, m, rng.child_seed(params.seed, rng.TRIAL, t, 1 + j)), F)
-            for j, (n, m, F) in enumerate(zip(params.dims, params.embed_dims, T.factors))
-        ]
+        embedded = [apply_embedding(E, F) for E, F in zip(_trial_embeddings(params, family, t), T.factors)]
         sq = _sq_norm_on_core(T.core, T.factors)
         return abs(_sq_norm_on_core(T.core, embedded) - sq) / sq
 
@@ -423,13 +421,7 @@ def estimate_subspace_dim(core, factors, mode: int) -> int:
 
 
 def check_residual_distortion(
-    X,
-    params: BoundParams,
-    core,
-    factors,
-    mode: int,
-    family: str = "gaussian",
-    report_subspace_dim: bool = False,
+    X, params: BoundParams, core, factors, mode: int, family: str = "gaussian"
 ) -> BoundReport:
     """Monte-Carlo tail check for distortion of residuals against a sweep.
 
@@ -465,10 +457,7 @@ def check_residual_distortion(
     split = _residual_split(matricize(X, mode), _psi(core, factors, mode))
 
     def worst_distortion(t: int) -> float:
-        embeds = [
-            make_embedding(family, n, m, rng.child_seed(params.seed, rng.TRIAL, t, 1 + j))
-            for j, (n, m) in enumerate(zip(params.dims, params.embed_dims))
-        ]
+        embeds = _trial_embeddings(params, family, t)
         LX = X
         for j, E in enumerate(embeds):
             LX = apply_embedding_mode(E, LX, j)
@@ -483,16 +472,10 @@ def check_residual_distortion(
         keep = sq != 0.0
         return float(np.max(np.abs(lsq[keep] - sq[keep]) / sq[keep], initial=0.0))
 
-    report = _tail_report(
+    return _tail_report(
         "residual-distortion", params, max_admissible_residual_eps, worst_distortion, family,
         {"y_samples": params.y_samples},
     )
-    if report_subspace_dim:
-        report.details["subspace_dim_estimate"] = estimate_subspace_dim(core, factors, mode)
-        report.details["residual_dim_bound"] = residual_embedding_dim_bound(
-            params, report.details["subspace_dim_estimate"]
-        )
-    return report
 
 
 # ---------------------------------------------------------------------------
@@ -507,6 +490,8 @@ def run_lemma21_suite(trials: int = 200, seed: int = 0, tol: float = 1e-10) -> B
     mode map; the relative gap between the Gram evaluation and the dense
     mapped-tensor norm must stay within ``tol``.
     """
+    if trials < 1:
+        raise ValueError("trials must be at least 1")
     errs = []
     failures = 0
     for t in range(trials):
@@ -544,6 +529,8 @@ def run_lemma_a_suite(
     family: str = "gaussian",
 ) -> BoundReport:
     """Inner-product bound over seeded random draws; zero violations."""
+    if trials < 1:
+        raise ValueError("trials must be at least 1")
     failures = 0
     discarded = 0
     satisfied = 0
@@ -586,6 +573,8 @@ def run_prop1_suite(
     Draws are capped at 20x the target; zero violations required among
     the satisfying draws.
     """
+    if target < 1:
+        raise ValueError("target must be at least 1")
     failures = 0
     discarded = 0
     satisfied = 0
@@ -662,6 +651,8 @@ def run_th4_suite(
         seed=seed,
         y_samples=y_samples,
     )
-    return check_residual_distortion(
-        X, params, sub.core, sub.factors, mode=0, family=family, report_subspace_dim=True
-    )
+    report = check_residual_distortion(X, params, sub.core, sub.factors, mode=0, family=family)
+    p_dim = estimate_subspace_dim(sub.core, sub.factors, 0)
+    report.details["subspace_dim_estimate"] = p_dim
+    report.details["residual_dim_bound"] = residual_embedding_dim_bound(params, p_dim)
+    return report

@@ -30,7 +30,7 @@ from pathlib import Path
 import numpy as np
 
 from .tensor import as_tensor, from_vec, to_vec
-from .tucker import TuckerDecomposition
+from .tucker import _ORTHO_TOL, TuckerDecomposition, _orthonormality_gap
 
 __all__ = ["write_tensor", "read_tensor", "write_decomposition", "read_decomposition"]
 
@@ -38,17 +38,14 @@ _TENSOR_MAGIC = b"TKR1"
 _DECOMP_MAGIC = b"TKD1"
 
 
-def write_tensor(path, X) -> None:
-    """Write a dense tensor to ``path`` in TKR1 format."""
-    X = as_tensor(X)
-    if X.ndim < 1 or X.ndim > 255:
-        raise ValueError(f"unsupported tensor order {X.ndim}")
-    blob = bytearray()
-    blob += _TENSOR_MAGIC
-    blob += struct.pack("<B", X.ndim)
-    blob += np.asarray(X.shape, dtype="<u8").tobytes()
-    blob += to_vec(X).astype("<f8").tobytes()
-    Path(path).write_bytes(bytes(blob))
+def _write(path, magic: bytes, what: str, modes: list[tuple[int, ...]], arrays) -> None:
+    """Write ``magic``, the order byte, the per-mode u64 header values in
+    ``modes`` (one tuple per mode) and each array first-index-fastest."""
+    if not 1 <= len(modes) <= 255:
+        raise ValueError(f"unsupported {what} order {len(modes)}")
+    blob = [magic, struct.pack("<B", len(modes)), np.asarray(modes, dtype="<u8").tobytes()]
+    blob += [to_vec(a).astype("<f8").tobytes() for a in arrays]
+    Path(path).write_bytes(b"".join(blob))
 
 
 def _take(buf: bytes, offset: int, count: int, what: str) -> tuple[bytes, int]:
@@ -57,75 +54,63 @@ def _take(buf: bytes, offset: int, count: int, what: str) -> tuple[bytes, int]:
     return buf[offset : offset + count], offset + count
 
 
-def read_tensor(path) -> np.ndarray:
-    """Read a TKR1 file back into a dense tensor."""
+def _read(path, magic: bytes, what: str, per_mode: int, counts):
+    """Read a file written by :func:`_write`.
+
+    Returns the header values (Python ints, so sizes computed from them
+    cannot wrap) and one float64 array per entry of ``counts(header)``,
+    the value count of each payload array.  Rejects wrong magic, order 0,
+    zero header values, short files and trailing bytes.
+    """
     buf = Path(path).read_bytes()
-    magic, off = _take(buf, 0, 4, "magic")
-    if magic != _TENSOR_MAGIC:
-        raise ValueError(f"bad magic {magic!r}, expected {_TENSOR_MAGIC!r}")
+    got, off = _take(buf, 0, 4, "magic")
+    if got != magic:
+        raise ValueError(f"bad magic {got!r}, expected {magic!r}")
     raw, off = _take(buf, off, 1, "order")
-    q = raw[0]
-    if q < 1:
-        raise ValueError("tensor order must be at least 1")
-    raw, off = _take(buf, off, 8 * q, "dimensions")
-    dims = np.frombuffer(raw, dtype="<u8")
-    if np.any(dims == 0):
-        raise ValueError(f"zero dimension in header: {tuple(int(d) for d in dims)}")
-    count = math.prod(int(d) for d in dims)
-    raw, off = _take(buf, off, 8 * count, "values")
+    if raw[0] < 1:
+        raise ValueError(f"{what} order must be at least 1")
+    raw, off = _take(buf, off, 8 * per_mode * raw[0], "header")
+    header = tuple(int(v) for v in np.frombuffer(raw, dtype="<u8"))
+    if 0 in header:
+        raise ValueError(f"zero dimension in header: {header}")
+    arrays = []
+    for count in counts(header):
+        raw, off = _take(buf, off, 8 * count, "values")
+        arrays.append(np.frombuffer(raw, dtype="<f8"))
     if off != len(buf):
         raise ValueError(f"{len(buf) - off} trailing bytes after payload")
-    values = np.frombuffer(raw, dtype="<f8")
-    return from_vec(values, tuple(int(d) for d in dims))
+    return header, arrays
+
+
+def write_tensor(path, X) -> None:
+    """Write a dense tensor to ``path`` in TKR1 format."""
+    X = as_tensor(X)
+    _write(path, _TENSOR_MAGIC, "tensor", [(n,) for n in X.shape], [X])
+
+
+def read_tensor(path) -> np.ndarray:
+    """Read a TKR1 file back into a dense tensor."""
+    dims, (values,) = _read(path, _TENSOR_MAGIC, "tensor", 1, lambda dims: [math.prod(dims)])
+    return from_vec(values, dims)
 
 
 def write_decomposition(path, T: TuckerDecomposition) -> None:
     """Write a Tucker decomposition to ``path`` in TKD1 format."""
-    q = T.order
-    if q < 1 or q > 255:
-        raise ValueError(f"unsupported decomposition order {q}")
-    blob = bytearray()
-    blob += _DECOMP_MAGIC
-    blob += struct.pack("<B", q)
-    header = []
-    for n, r in zip(T.shape, T.ranks):
-        header += [n, r]
-    blob += np.asarray(header, dtype="<u8").tobytes()
-    blob += to_vec(T.core).astype("<f8").tobytes()
-    for f in T.factors:
-        blob += f.ravel(order="F").astype("<f8").tobytes()
-    Path(path).write_bytes(bytes(blob))
+    _write(path, _DECOMP_MAGIC, "decomposition", list(zip(T.shape, T.ranks)), [T.core, *T.factors])
 
 
 def read_decomposition(path) -> TuckerDecomposition:
     """Read a TKD1 file.
 
     The orthogonal flag is not stored; it is re-detected by measuring the
-    factors against the orthonormality tolerance.
+    factors against the orthonormality tolerance of
+    :class:`~tuckersketch.tucker.TuckerDecomposition`.
     """
-    buf = Path(path).read_bytes()
-    magic, off = _take(buf, 0, 4, "magic")
-    if magic != _DECOMP_MAGIC:
-        raise ValueError(f"bad magic {magic!r}, expected {_DECOMP_MAGIC!r}")
-    raw, off = _take(buf, off, 1, "order")
-    q = raw[0]
-    if q < 1:
-        raise ValueError("decomposition order must be at least 1")
-    raw, off = _take(buf, off, 16 * q, "mode sizes")
-    header = np.frombuffer(raw, dtype="<u8").reshape(q, 2)
-    dims = tuple(int(n) for n in header[:, 0])
-    ranks = tuple(int(r) for r in header[:, 1])
-    if any(n == 0 for n in dims) or any(r == 0 for r in ranks):
-        raise ValueError(f"zero dimension or rank in header: dims={dims} ranks={ranks}")
-    raw, off = _take(buf, off, 8 * math.prod(ranks), "core values")
-    core = from_vec(np.frombuffer(raw, dtype="<f8"), ranks)
-    factors = []
-    for n, r in zip(dims, ranks):
-        raw, off = _take(buf, off, 8 * n * r, "factor values")
-        factors.append(np.frombuffer(raw, dtype="<f8").reshape((n, r), order="F").copy())
-    if off != len(buf):
-        raise ValueError(f"{len(buf) - off} trailing bytes after payload")
-    ortho = all(
-        np.max(np.abs(f.T @ f - np.eye(f.shape[1]))) <= 1e-10 for f in factors
+    header, (core, *factors) = _read(
+        path, _DECOMP_MAGIC, "decomposition", 2,
+        lambda h: [math.prod(h[1::2])] + [n * r for n, r in zip(h[0::2], h[1::2])],
     )
-    return TuckerDecomposition(core, factors, orthogonal=ortho)
+    dims, ranks = header[0::2], header[1::2]
+    factors = [f.reshape((n, r), order="F").copy() for f, n, r in zip(factors, dims, ranks)]
+    ortho = all(_orthonormality_gap(f) <= _ORTHO_TOL for f in factors)
+    return TuckerDecomposition(from_vec(core, ranks), factors, orthogonal=ortho)

@@ -111,20 +111,15 @@ def mode_multiply(X, B, mode: int) -> np.ndarray:
     return np.moveaxis(np.tensordot(B, X, axes=(1, mode)), 0, mode)
 
 
-def multi_mode_multiply(X, mats: Sequence, modes: Sequence[int] | None = None) -> np.ndarray:
-    """Apply one matrix per listed mode, sequentially.
+def multi_mode_multiply(X, mats: Sequence) -> np.ndarray:
+    """Multiply ``X`` by ``mats[k]`` along mode k for every k, sequentially.
 
-    ``mats`` entries equal to ``None`` are skipped.  By default the k-th
-    matrix applies along mode k.
+    ``mats`` entries equal to ``None`` are skipped.
     """
-    X = as_tensor(X)
-    if modes is None:
-        modes = range(len(mats))
-    out = X
-    for B, j in zip(mats, modes):
-        if B is None:
-            continue
-        out = mode_multiply(out, B, j)
+    out = as_tensor(X)
+    for j, B in enumerate(mats):
+        if B is not None:
+            out = mode_multiply(out, B, j)
     return out
 
 

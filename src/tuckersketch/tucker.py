@@ -57,8 +57,7 @@ class TuckerDecomposition:
                 raise ValueError(f"factor {j} has more columns ({r_j}) than rows ({n_j})")
         if self.orthogonal:
             for j, f in enumerate(self.factors):
-                gram = f.T @ f
-                dev = np.max(np.abs(gram - np.eye(f.shape[1])))
+                dev = _orthonormality_gap(f)
                 if dev > _ORTHO_TOL:
                     raise ValueError(
                         f"factor {j} marked orthogonal but deviates from orthonormality by {dev:.3e}"
@@ -75,6 +74,11 @@ class TuckerDecomposition:
     @property
     def order(self) -> int:
         return self.core.ndim
+
+
+def _orthonormality_gap(f: np.ndarray) -> float:
+    """Largest entry of ``|f^T f - I|``; orthonormal means at most ``_ORTHO_TOL``."""
+    return float(np.max(np.abs(f.T @ f - np.eye(f.shape[1]))))
 
 
 @dataclass

@@ -107,7 +107,15 @@ def test_bench_rows_round_trip_and_summary_recompute(tmp_path):
         assert c1["error"]["sd"] == pytest.approx(c2["error"]["sd"], abs=1e-12)
     assert summary_path.exists()
     header = csv_path.read_text().splitlines()[0]
+    assert header == (  # the format documented in README
+        "method,R,dr,rep,seed,iters,time_total_s,error,"
+        "prep_ms,init_ms,embed_gen_ms,embed_apply_ms,factor_ms,core_ms,finalize_ms"
+    )
     assert header == ",".join(CSV_COLUMNS)
+    for cell in summary["cells"]:
+        assert list(cell["stage_ms_per_iter"]) == [
+            "prep", "init", "embed_generate", "embed_apply", "factor_update", "core_update", "finalize"
+        ]
 
 
 def test_bench_stage_sums_bounded_by_total():

@@ -117,6 +117,16 @@ def test_verify_every_suite_small(suite, capsys):
     assert capsys.readouterr().out.startswith(f"{suite}: PASS ")
 
 
+@pytest.mark.parametrize("suite", ["lemma21", "lemma-a", "prop1", "th1", "th4"])
+@pytest.mark.parametrize("trials", ["0", "-3"])
+def test_verify_rejects_fewer_than_one_trial(suite, trials, capsys):
+    # lemma-a and prop1 used to PASS with nothing checked; lemma21 died in max()
+    assert main(["verify", "--suite", suite, "--trials", trials]) == 1
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert "at least 1" in captured.err
+
+
 def test_verify_unknown_suite_is_usage_error():
     with pytest.raises(SystemExit) as exc:
         main(["verify", "--suite", "lemma99"])

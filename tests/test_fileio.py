@@ -73,6 +73,19 @@ def test_decomposition_round_trip(tmp_path):
     assert np.array_equal(reconstruct(S), reconstruct(T))
 
 
+def test_decomposition_header_layout(tmp_path):
+    factors = [np.eye(3, 2), np.eye(4, 1)]
+    T = TuckerDecomposition(np.array([[1.0], [2.0]]), factors, orthogonal=True)
+    path = tmp_path / "d.tkd"
+    write_decomposition(path, T)
+    raw = path.read_bytes()
+    assert raw[:5] == b"TKD1" + bytes([2])
+    # mode sizes interleave with the ranks: n_1, R_1, n_2, R_2
+    assert np.frombuffer(raw[5:37], dtype="<u8").tolist() == [3, 2, 4, 1]
+    payload = np.frombuffer(raw[37:], dtype="<f8").tolist()
+    assert payload == [1.0, 2.0] + np.eye(3, 2).ravel(order="F").tolist() + [1.0, 0.0, 0.0, 0.0]
+
+
 def test_decomposition_orthogonal_flag_not_set_for_oblique(tmp_path):
     T = TuckerDecomposition(np.ones((2, 2)), [np.ones((3, 2)) + np.eye(3, 2), np.eye(2)])
     path = tmp_path / "d.tkd"
