@@ -1,6 +1,6 @@
 """Oblivious norm-preserving embeddings and one-time mode mixing.
 
-Two embedding families, both seeded and reproducible:
+Two embedding families, each drawn from a caller-supplied generator:
 
 * ``srft``: scaled row sampling of an orthogonally mixed input,
   ``A = sqrt(n/m) * S F D`` where D is a diagonal Rademacher matrix, F
@@ -47,12 +47,6 @@ __all__ = [
 
 FAMILIES = ("srft", "gaussian")
 
-# spawn-key tags inside an embedding's own seed
-_TAG_SIGNS = 0
-_TAG_ROWS = 1
-_TAG_GAUSS = 2
-
-
 @lru_cache(maxsize=32)
 def dct_matrix(n: int) -> np.ndarray:
     """Orthonormal DCT-II matrix of size n (explicit, for oracle paths)."""
@@ -61,20 +55,20 @@ def dct_matrix(n: int) -> np.ndarray:
 
 @dataclass(frozen=True)
 class Embedding:
-    """A seeded m-by-n norm-preserving map."""
+    """An m-by-n norm-preserving map, as drawn by :func:`make_embedding`."""
 
     kind: str
     n: int
     m: int
-    seed: int
     sample_rows: np.ndarray | None = None
     signs: np.ndarray | None = None
     scale: float = 1.0
     matrix: np.ndarray | None = None
 
 
-def make_embedding(kind: str, n: int, m: int, seed: int) -> Embedding:
-    """Draw an embedding of the given family, reproducibly from ``seed``."""
+def make_embedding(kind: str, n: int, m: int, gen: np.random.Generator) -> Embedding:
+    """Draw an embedding of the given family from ``gen``: an SRFT draws its
+    n signs, then its m rows; a Gaussian map draws its m-by-n matrix."""
     if kind not in FAMILIES:
         raise ValueError(f"unknown embedding family {kind!r}, expected one of {FAMILIES}")
     if m < 1 or n < 1:
@@ -82,13 +76,10 @@ def make_embedding(kind: str, n: int, m: int, seed: int) -> Embedding:
     if kind == "srft":
         if m > n:
             raise ValueError(f"srft requires m <= n, got m={m}, n={n}")
-        signs = rng.stream(seed, _TAG_SIGNS).integers(0, 2, size=n) * 2.0 - 1.0
-        rows = draw_sample_rows(rng.stream(seed, _TAG_ROWS), n, m)
-        return Embedding(
-            kind, n, m, seed, sample_rows=rows, signs=signs, scale=float(np.sqrt(n / m))
-        )
-    mat = rng.stream(seed, _TAG_GAUSS).standard_normal((m, n)) / np.sqrt(m)
-    return Embedding(kind, n, m, seed, matrix=mat)
+        signs = gen.integers(0, 2, size=n) * 2.0 - 1.0
+        rows = draw_sample_rows(gen, n, m)
+        return Embedding(kind, n, m, sample_rows=rows, signs=signs, scale=float(np.sqrt(n / m)))
+    return Embedding(kind, n, m, matrix=gen.standard_normal((m, n)) / np.sqrt(m))
 
 
 def draw_sample_rows(gen: np.random.Generator, n: int, m: int) -> np.ndarray:
@@ -234,16 +225,16 @@ def is_eps_jl(E: Embedding, vectors, eps: float) -> JLCheck:
 def jl_failure_rate(kind, n, m, make_set, eps, trials, seed) -> float:
     """Fraction of fresh embedding draws that distort some set vector by >= eps.
 
-    ``make_set(gen)`` must return the vectors (rows) to test for one
-    trial; it receives that trial's own generator so the whole experiment
-    is reproducible from ``seed``.
+    Trial t draws everything from its own stream ``(seed, TRIAL, t)``:
+    first the embedding, then whatever ``make_set(gen)`` draws to build
+    the vectors (rows) it returns.
     """
     if trials < 1:
         raise ValueError("trials must be at least 1")
     failures = 0
     for t in range(trials):
-        E = make_embedding(kind, n, m, rng.child_seed(seed, rng.TRIAL, t, 0))
-        vectors = make_set(rng.stream(seed, rng.TRIAL, t, 1))
-        if not is_eps_jl(E, vectors, eps).ok:
+        gen = rng.stream(seed, rng.TRIAL, t)
+        E = make_embedding(kind, n, m, gen)
+        if not is_eps_jl(E, make_set(gen), eps).ok:
             failures += 1
     return failures / trials

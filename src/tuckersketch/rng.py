@@ -8,7 +8,12 @@ order.  Stream tags used by the library:
     MIX     sign draws for the one-time mode mixing step, keyed (MIX, mode)
     SAMPLE  row-sampling draws, keyed (SAMPLE, iteration, mode)
     INIT    factor initialisation draws, keyed (INIT, mode)
-    TRIAL   Monte-Carlo trial streams, keyed (TRIAL, trial, ...)
+    TRIAL   Monte-Carlo trials, keyed (TRIAL, t): trial t takes all of its
+            draws from this one stream, in a fixed order per suite --
+            lemma21 sizes, decomposition, map; lemma-a embedding, x, y;
+            prop1 and th1 decomposition, embeddings; th4 embeddings, all
+            candidates; jl_failure_rate embedding, vector set.  th4's fixed
+            tensor and sub-decomposition use one stream (TRIAL, 10000, 0).
 """
 
 from __future__ import annotations

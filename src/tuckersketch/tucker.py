@@ -58,7 +58,7 @@ class TuckerDecomposition:
         if self.orthogonal:
             for j, f in enumerate(self.factors):
                 dev = _orthonormality_gap(f)
-                if dev > _ORTHO_TOL:
+                if not dev <= _ORTHO_TOL:
                     raise ValueError(
                         f"factor {j} marked orthogonal but deviates from orthonormality by {dev:.3e}"
                     )

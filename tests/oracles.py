@@ -9,8 +9,8 @@ dense route: they materialise every tensor and every embedding matrix.
 import numpy as np
 
 from tuckersketch import rng
-from tuckersketch.bounds import random_orthogonal_tucker
-from tuckersketch.embeddings import embedding_matrix, make_embedding
+from tuckersketch.bounds import _trial_embeddings, random_orthogonal_tucker
+from tuckersketch.embeddings import embedding_matrix
 from tuckersketch.tensor import multi_mode_multiply, norm
 from tuckersketch.tucker import TuckerDecomposition, reconstruct
 
@@ -65,22 +65,21 @@ def integer_tensor(gen, shape, low=-4, high=5):
     return gen.integers(low, high, size=shape).astype(np.float64)
 
 
-def _embedding_matrices(params, family, t):
-    """Dense matrices of trial t's per-mode embeddings, seeded as the checks seed them."""
-    return [
-        embedding_matrix(make_embedding(family, n, m, rng.child_seed(params.seed, rng.TRIAL, t, 1 + j)))
-        for j, (n, m) in enumerate(zip(params.dims, params.embed_dims))
-    ]
+def _embedding_matrices(params, family, gen):
+    """Dense matrices of a trial's per-mode embeddings, drawn from ``gen`` as the checks draw them."""
+    return [embedding_matrix(E) for E in _trial_embeddings(params, family, gen)]
 
 
 def multimode_distortion_oracle(params, family):
     """Per-trial distortions of the multimode check, from dense tensors."""
     out = []
     for t in range(params.trials):
-        T = random_orthogonal_tucker(params.dims, params.ranks, rng.stream(params.seed, rng.TRIAL, t, 0))
+        gen = rng.stream(params.seed, rng.TRIAL, t)
+        T = random_orthogonal_tucker(params.dims, params.ranks, gen)
+        mats = _embedding_matrices(params, family, gen)
         Y = reconstruct(T)
         sq = norm(Y) ** 2
-        out.append(abs(norm(multi_mode_multiply(Y, _embedding_matrices(params, family, t))) ** 2 - sq) / sq)
+        out.append(abs(norm(multi_mode_multiply(Y, mats)) ** 2 - sq) / sq)
     return out
 
 
@@ -88,12 +87,13 @@ def residual_distortion_oracle(X, params, core, factors, mode, family):
     """Per-trial worst distortions of the residual check, from dense tensors."""
     out = []
     for t in range(params.trials):
-        mats = _embedding_matrices(params, family, t)
+        gen = rng.stream(params.seed, rng.TRIAL, t)
+        mats = _embedding_matrices(params, family, gen)
+        draws = gen.standard_normal((params.y_samples, params.dims[mode], core.shape[mode]))
         LX = multi_mode_multiply(X, mats)
         worst = 0.0
-        for s in range(params.y_samples):
-            gen = rng.stream(params.seed, rng.TRIAL, t, 100 + s)
-            A = np.linalg.qr(gen.standard_normal((params.dims[mode], core.shape[mode])))[0]
+        for draw in draws:
+            A = np.linalg.qr(draw)[0]
             Y = reconstruct(TuckerDecomposition(core, [A if k == mode else f for k, f in enumerate(factors)]))
             sq = norm(X - Y) ** 2
             if sq > 0.0:

@@ -1,10 +1,12 @@
 import math
+from dataclasses import replace
 
 import numpy as np
 import pytest
 
 from tuckersketch.bounds import (
     BoundParams,
+    _trial_embeddings,
     check_inner_product_bound,
     check_multimode_distortion,
     check_prop1,
@@ -97,7 +99,7 @@ def test_pair_vector_set_size():
 
 def test_inner_product_bound_orthogonal_map_never_violates():
     gen = np.random.default_rng(0)
-    E = make_embedding("srft", 32, 32, 5)
+    E = make_embedding("srft", 32, 32, rng.stream(5))
     x = gen.standard_normal(32)
     y = gen.standard_normal(32)
     rep = check_inner_product_bound(E, x, y, eps=0.3)
@@ -106,7 +108,7 @@ def test_inner_product_bound_orthogonal_map_never_violates():
 
 
 def test_inner_product_bound_zero_vector_edge():
-    E = make_embedding("gaussian", 16, 8, 1)
+    E = make_embedding("gaussian", 16, 8, rng.stream(1))
     x = np.random.default_rng(1).standard_normal(16)
     rep = check_inner_product_bound(E, x, np.zeros(16), eps=0.5)
     assert rep.discarded == 0
@@ -116,7 +118,7 @@ def test_inner_product_bound_zero_vector_edge():
 def test_inner_product_bound_discards_failed_hypothesis():
     # eps tiny enough that a random gaussian draw essentially always distorts more
     gen = np.random.default_rng(2)
-    E = make_embedding("gaussian", 16, 2, 3)
+    E = make_embedding("gaussian", 16, 2, rng.stream(3))
     x = gen.standard_normal(16)
     y = gen.standard_normal(16)
     rep = check_inner_product_bound(E, x, y, eps=1e-6)
@@ -126,7 +128,7 @@ def test_inner_product_bound_discards_failed_hypothesis():
 
 def test_prop1_orthogonal_map_zero_distortion():
     T = random_orthogonal_tucker((12, 12, 12), (3, 3, 3), np.random.default_rng(3))
-    E = make_embedding("srft", 12, 12, 7)
+    E = make_embedding("srft", 12, 12, rng.stream(7))
     rep = check_prop1(T, E, mode=0, eps=0.4)
     assert not rep.discarded
     assert rep.passed
@@ -135,7 +137,7 @@ def test_prop1_orthogonal_map_zero_distortion():
 
 def test_prop1_single_column_mode_is_vacuous():
     T = random_orthogonal_tucker((10, 10), (1, 2), np.random.default_rng(4))
-    E = make_embedding("srft", 10, 10, 9)
+    E = make_embedding("srft", 10, 10, rng.stream(9))
     rep = check_prop1(T, E, mode=0, eps=0.4)
     assert rep.passed
 
@@ -147,7 +149,7 @@ def test_prop1_norm_shift_matches_dense_route(family):
     for t in range(200):
         T = random_orthogonal_tucker(dims, ranks, np.random.default_rng(t))
         j = t % 3
-        E = make_embedding(family, dims[j], dims[j] - 2, t)
+        E = make_embedding(family, dims[j], dims[j] - 2, rng.stream(t))
         rep = check_prop1(T, E, j, eps=0.6)
         if rep.discarded:
             continue
@@ -165,7 +167,7 @@ def test_prop1_requires_orthogonal_decomposition():
     from tuckersketch.tucker import TuckerDecomposition
 
     T = TuckerDecomposition(gen.standard_normal((2, 2)), [gen.standard_normal((6, 2)) for _ in range(2)])
-    E = make_embedding("gaussian", 6, 4, 0)
+    E = make_embedding("gaussian", 6, 4, rng.stream(0))
     with pytest.raises(ValueError):
         check_prop1(T, E, 0, 0.5)
 
@@ -201,6 +203,15 @@ def test_multimode_distortion_deterministic():
     r2 = check_multimode_distortion(p, family="gaussian")
     assert r1.distortions == r2.distortions
     assert r1.threshold == pytest.approx(0.1 + 2 * math.sqrt(0.09 / 25))
+    # trial t draws depend on (seed, t) alone: 4 trials are the first 4 of 10
+    X, core, factors = oblique_problem((6, 7, 8), (2, 3, 2), 12)
+    q = params(eps=0.6, eta=0.2, dims=(6, 7, 8), ranks=(2, 3, 2), embed_dims=(4, 5, 6), seed=13, y_samples=5)
+    for family in ("gaussian", "srft"):
+        short, full = (check_multimode_distortion(replace(p, trials=k), family) for k in (4, 10))
+        assert short.distortions == full.distortions[:4]
+        short, full = (check_residual_distortion(X, replace(q, trials=k), core, factors, 1, family) for k in (4, 10))
+        assert short.distortions == full.distortions[:4]
+    assert run_lemma21_suite(trials=4, seed=11).distortions == run_lemma21_suite(trials=10, seed=11).distortions[:4]
 
 
 def test_multimode_distortion_rejects_inadmissible_eps():
@@ -268,7 +279,9 @@ def test_residual_distortion_accurate_when_candidate_nearly_equals_x():
     dims, ranks, mode = (6, 7, 8), (2, 3, 2), 1
     _, core, factors = oblique_problem(dims, ranks, 50)
     p = params(eps=0.6, eta=0.2, dims=dims, ranks=ranks, embed_dims=(4, 5, 6), trials=1, seed=9, y_samples=1)
-    gen = rng.stream(p.seed, rng.TRIAL, 0, 100)
+    # replay trial 0's stream: the embeddings come first, then the candidate
+    gen = rng.stream(p.seed, rng.TRIAL, 0)
+    _trial_embeddings(p, "gaussian", gen)
     fs = list(factors)
     fs[mode] = np.linalg.qr(gen.standard_normal((dims[mode], ranks[mode])))[0]
     Y = reconstruct(TuckerDecomposition(core, fs))

@@ -127,6 +127,14 @@ def test_verify_rejects_fewer_than_one_trial(suite, trials, capsys):
     assert "at least 1" in captured.err
 
 
+def test_verify_lemma_a_fails_when_no_draw_is_checked(capsys):
+    # at eps 1e-6 no draw satisfies the hypothesis, so nothing is checked
+    assert main(["verify", "--suite", "lemma-a", "--trials", "20", "--eps", "1e-6", "--seed", "2"]) == 1
+    out = capsys.readouterr().out
+    assert out.startswith("lemma-a: FAIL ")
+    assert "satisfied=0" in out
+
+
 def test_verify_unknown_suite_is_usage_error():
     with pytest.raises(SystemExit) as exc:
         main(["verify", "--suite", "lemma99"])

@@ -1,6 +1,7 @@
 import numpy as np
 import pytest
 
+from tuckersketch import rng
 from tuckersketch.embeddings import (
     apply_embedding,
     apply_embedding_mode,
@@ -26,18 +27,18 @@ def test_dct_matrix_is_orthonormal():
 
 def test_make_embedding_validation():
     with pytest.raises(ValueError):
-        make_embedding("bogus", 8, 4, 0)
+        make_embedding("bogus", 8, 4, rng.stream(0))
     with pytest.raises(ValueError):
-        make_embedding("srft", 8, 9, 0)  # m > n
+        make_embedding("srft", 8, 9, rng.stream(0))  # m > n
     with pytest.raises(ValueError):
-        make_embedding("gaussian", 8, 0, 0)
+        make_embedding("gaussian", 8, 0, rng.stream(0))
 
 
 def test_srft_full_sampling_is_orthogonal():
     gen = np.random.default_rng(0)
     x = gen.standard_normal(8)
     for seed in (1, 2, 3):
-        E = make_embedding("srft", 8, 8, seed)
+        E = make_embedding("srft", 8, 8, rng.stream(seed))
         y = apply_embedding(E, x)
         assert abs(np.linalg.norm(y) - np.linalg.norm(x)) <= 1e-12 * np.linalg.norm(x)
         # with M = I the rows are the sign-mixed DCT rows in sampled order
@@ -46,15 +47,15 @@ def test_srft_full_sampling_is_orthogonal():
 
 
 def test_embedding_determinism_and_seed_sensitivity():
-    a = make_embedding("srft", 16, 8, 42)
-    b = make_embedding("srft", 16, 8, 42)
+    a = make_embedding("srft", 16, 8, rng.stream(42))
+    b = make_embedding("srft", 16, 8, rng.stream(42))
     assert np.array_equal(a.sample_rows, b.sample_rows)
     assert np.array_equal(a.signs, b.signs)
-    c = make_embedding("srft", 16, 8, 43)
+    c = make_embedding("srft", 16, 8, rng.stream(43))
     assert not (np.array_equal(a.sample_rows, c.sample_rows) and np.array_equal(a.signs, c.signs))
 
-    g1 = make_embedding("gaussian", 16, 8, 7)
-    g2 = make_embedding("gaussian", 16, 8, 7)
+    g1 = make_embedding("gaussian", 16, 8, rng.stream(7))
+    g2 = make_embedding("gaussian", 16, 8, rng.stream(7))
     assert np.array_equal(g1.matrix, g2.matrix)
 
 
@@ -62,7 +63,7 @@ def test_implicit_and_explicit_paths_agree():
     gen = np.random.default_rng(1)
     M = gen.standard_normal((64, 5))
     for kind in ("srft", "gaussian"):
-        E = make_embedding(kind, 64, 24, 11)
+        E = make_embedding(kind, 64, 24, rng.stream(11))
         fast = apply_embedding(E, M)
         dense = embedding_matrix(E) @ M
         assert norm(fast - dense) / norm(dense) <= 1e-12
@@ -73,14 +74,14 @@ def test_gaussian_norm_unbiasedness_over_seeds():
     x = gen.standard_normal(64)
     ratios = []
     for seed in range(2000):
-        E = make_embedding("gaussian", 64, 32, seed)
+        E = make_embedding("gaussian", 64, 32, rng.stream(seed))
         ratios.append(np.sum(apply_embedding(E, x) ** 2) / np.sum(x**2))
     assert 0.95 <= np.mean(ratios) <= 1.05
 
 
 def test_apply_embedding_row_mismatch():
     for kind in ("gaussian", "srft"):
-        E = make_embedding(kind, 8, 4, 0)
+        E = make_embedding(kind, 8, 4, rng.stream(0))
         with pytest.raises(ValueError):
             apply_embedding(E, np.zeros((9, 2)))
         with pytest.raises(ValueError, match="does not have size 8"):
@@ -94,7 +95,7 @@ def test_apply_embedding_mode_matches_unfolding():
     X = gen.standard_normal((6, 7, 8))
     for kind in ("srft", "gaussian"):
         for mode in range(3):
-            E = make_embedding(kind, X.shape[mode], 3, 5)
+            E = make_embedding(kind, X.shape[mode], 3, rng.stream(5))
             Y = apply_embedding_mode(E, X, mode)
             shape = list(X.shape)
             shape[mode] = 3
@@ -173,7 +174,7 @@ def test_mix_with_no_modes_is_identity():
 
 
 def test_is_eps_jl_orthogonal_map_passes_with_zero_distortion():
-    E = make_embedding("srft", 12, 12, 3)
+    E = make_embedding("srft", 12, 12, rng.stream(3))
     gen = np.random.default_rng(8)
     vectors = gen.standard_normal((5, 12))
     report = is_eps_jl(E, vectors, eps=0.01)
@@ -182,14 +183,14 @@ def test_is_eps_jl_orthogonal_map_passes_with_zero_distortion():
 
 
 def test_is_eps_jl_zero_vector_passes_vacuously():
-    E = make_embedding("gaussian", 8, 4, 0)
+    E = make_embedding("gaussian", 8, 4, rng.stream(0))
     report = is_eps_jl(E, np.zeros((1, 8)), eps=0.1)
     assert report.ok
     assert report.distortions[0] == 0.0
 
 
 def test_is_eps_jl_validation():
-    E = make_embedding("gaussian", 8, 4, 0)
+    E = make_embedding("gaussian", 8, 4, rng.stream(0))
     with pytest.raises(ValueError):
         is_eps_jl(E, np.zeros((1, 9)), eps=0.5)
     with pytest.raises(ValueError):

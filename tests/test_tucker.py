@@ -51,6 +51,9 @@ def test_constructor_validation():
     with pytest.raises(ValueError):
         # flag set but columns far from orthonormal
         TuckerDecomposition(np.zeros((2, 2)), [np.ones((3, 2)), np.eye(2)], orthogonal=True)
+    with pytest.raises(ValueError, match="orthonormality"):
+        # a NaN gap must not pass for orthonormal
+        TuckerDecomposition(np.ones((1,)), [np.array([[np.nan], [0.0]])], orthogonal=True)
 
 
 def test_mode_coherence_frozen_example():
