@@ -5,19 +5,15 @@ from .tensor import (
     from_vec,
     to_vec,
     matricize,
-    dematricize,
     mode_multiply,
     multi_mode_multiply,
     inner,
     norm,
-    kronecker,
 )
 from .tucker import (
     TuckerDecomposition,
-    CoherenceReport,
     reconstruct,
     mode_coherence,
-    coherence,
     apply_mode_map,
     norm_via_gram,
     psi_matrix,
@@ -28,13 +24,11 @@ from .embeddings import (
     JLCheck,
     make_embedding,
     apply_embedding,
-    apply_embedding_mode,
     embedding_matrix,
     make_mix_operators,
     mix,
     unmix_factor,
     is_eps_jl,
-    jl_failure_rate,
     sample_size,
 )
 from .decompose import (
@@ -42,11 +36,7 @@ from .decompose import (
     RunReport,
     decompose,
     hosvd,
-    hooi,
-    hooi_re,
-    hooi_re_star,
     reconstruction_error,
-    relative_fit,
 )
 from .bounds import (
     BoundParams,

@@ -20,7 +20,7 @@ import numpy as np
 
 from . import rng
 from .decompose import METHODS, RANDOMIZED, DecomposerConfig, decompose
-from .tucker import TuckerDecomposition, reconstruct
+from .tucker import random_orthogonal_tucker, reconstruct
 
 __all__ = [
     "BenchConfig",
@@ -56,10 +56,7 @@ def synth_tensor(dims, ranks, noise_sigma: float, seed: int) -> np.ndarray:
             raise ValueError(f"rank {r} invalid for dimension {n}")
     if noise_sigma < 0:
         raise ValueError("noise level must be nonnegative")
-    gen = rng.stream(seed, _SIGNAL)
-    factors = [np.linalg.qr(gen.standard_normal((n, r)))[0] for n, r in zip(dims, ranks)]
-    core = gen.standard_normal(ranks)
-    X = reconstruct(TuckerDecomposition(core, factors, orthogonal=True))
+    X = reconstruct(random_orthogonal_tucker(dims, ranks, rng.stream(seed, _SIGNAL)))
     if noise_sigma > 0:
         X = X + noise_sigma * rng.stream(seed, _NOISE).standard_normal(dims)
     return X

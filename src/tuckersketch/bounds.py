@@ -30,16 +30,16 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from . import rng
-from .embeddings import Embedding, apply_embedding, apply_embedding_mode, embedding_matrix, is_eps_jl, make_embedding
+from .embeddings import Embedding, apply_embedding, embedding_matrix, is_eps_jl, make_embedding
 from .tensor import as_tensor, inner, matricize, mode_multiply, multi_mode_multiply, norm
 from .tucker import (
     TuckerDecomposition,
-    _psi,
     _weighted_sq_norm,
     apply_mode_map,
     mode_coherence,
     norm_via_gram,
     psi_matrix,
+    random_orthogonal_tucker,
     reconstruct,
 )
 
@@ -50,7 +50,6 @@ __all__ = [
     "max_admissible_residual_eps",
     "embedding_dim_bound",
     "residual_embedding_dim_bound",
-    "random_orthogonal_tucker",
     "pair_vector_set",
     "check_inner_product_bound",
     "check_prop1",
@@ -194,15 +193,6 @@ def residual_embedding_dim_bound(params: BoundParams, p_dim: int) -> int:
     return max(1, math.ceil(val))
 
 
-def random_orthogonal_tucker(dims, ranks, gen: np.random.Generator) -> TuckerDecomposition:
-    """Random decomposition with orthonormal factors and N(0,1) core."""
-    factors = []
-    for n, r in zip(dims, ranks):
-        factors.append(np.linalg.qr(gen.standard_normal((n, r)))[0])
-    core = gen.standard_normal(tuple(ranks))
-    return TuckerDecomposition(core, factors, orthogonal=True)
-
-
 def pair_vector_set(factor: np.ndarray) -> np.ndarray:
     """Columns plus all pairwise sums and differences, as rows.
 
@@ -285,7 +275,7 @@ def check_prop1(T: TuckerDecomposition, E: Embedding, mode: int, eps: float) -> 
         if k != mode
     )
 
-    psi = psi_matrix(T, mode)
+    psi = psi_matrix(T.core, T.factors, mode)
     weight = psi @ psi.T
     sq_old = norm(T.core) ** 2
     sq_new = _weighted_sq_norm(weight, A @ T.factors[mode])
@@ -412,9 +402,9 @@ def estimate_subspace_dim(core, factors, mode: int) -> int:
     ``n_mode * rank(W)``; that number is returned.  ``factors[mode]``
     only supplies n_mode.  Used for reporting only.
     """
+    W = psi_matrix(core, factors, mode)
     if factors[mode] is None:
         raise ValueError("the free mode still needs a row count; pass a placeholder factor")
-    W = _psi(core, factors, mode)
     return factors[mode].shape[0] * int(np.linalg.matrix_rank(W))
 
 
@@ -452,7 +442,7 @@ def check_residual_distortion(
     if core.ndim != params.order or shapes != list(zip(params.dims, core.shape)):
         raise ValueError(f"factor shapes {shapes} do not match dims {tuple(params.dims)} and core {core.shape}")
     samples, n, r = params.y_samples, params.dims[mode], core.shape[mode]
-    split = _residual_split(matricize(X, mode), _psi(core, factors, mode))
+    split = _residual_split(matricize(X, mode), psi_matrix(core, factors, mode))
 
     def worst_distortion(t: int) -> float:
         gen = rng.stream(params.seed, rng.TRIAL, t)
@@ -460,11 +450,11 @@ def check_residual_distortion(
         cands = np.linalg.qr(gen.standard_normal((samples, n, r)))[0]
         LX = X
         for j, E in enumerate(embeds):
-            LX = apply_embedding_mode(E, LX, j)
+            LX = apply_embedding(E, LX, j)
         embedded = [apply_embedding(E, f) for E, f in zip(embeds, factors)]
-        LW = _psi(core, embedded, mode)
+        LW = psi_matrix(core, embedded, mode)
         # linearity: the embedded candidate has free factor E_mode A
-        lcands = apply_embedding_mode(embeds[mode], cands, 1)
+        lcands = apply_embedding(embeds[mode], cands, 1)
         sq = _sq_residuals(split, cands)
         lsq = _sq_residuals(_residual_split(matricize(LX, mode), LW), lcands)
         keep = sq != 0.0

@@ -166,8 +166,12 @@ def _cmd_bench(args) -> int:
 
 def _cmd_verify(args) -> int:
     run, trials_kw, bound_kws, summary = _VERIFY_SUITES[args.suite]
-    # an unset --eps/--eta keeps the suite's own default
-    given = {kw: getattr(args, kw) for kw in bound_kws if getattr(args, kw) is not None}
+    # an unset --eps/--eta keeps the suite's own default; a suite without
+    # the keyword rejects the flag rather than ignore it
+    given = {kw: getattr(args, kw) for kw in ("eps", "eta") if getattr(args, kw) is not None}
+    for kw in given:
+        if kw not in bound_kws:
+            raise ValueError(f"--{kw} does not apply to suite {args.suite}")
     report = run(**{trials_kw: args.trials}, seed=args.seed, **given)
     if args.out:
         Path(args.out).write_text(json.dumps(report.to_dict(), indent=2))

@@ -46,7 +46,7 @@ from __future__ import annotations
 
 import time
 from contextlib import contextmanager
-from dataclasses import asdict, dataclass, field, replace
+from dataclasses import asdict, dataclass, field
 
 import numpy as np
 
@@ -69,11 +69,7 @@ __all__ = [
     "STAGES",
     "decompose",
     "hosvd",
-    "hooi",
-    "hooi_re",
-    "hooi_re_star",
     "reconstruction_error",
-    "relative_fit",
 ]
 
 METHODS = ("hosvd", "hooi", "hooi-re", "hooi-re-star")
@@ -108,6 +104,8 @@ class DecomposerConfig:
         if len(self.ranks) != q:
             raise ValueError(f"{len(self.ranks)} ranks given for an order-{q} tensor")
         for j, (r, n) in enumerate(zip(self.ranks, shape)):
+            if not isinstance(r, (int, np.integer)):
+                raise ValueError(f"rank {r!r} for mode {j} must be an integer")
             if not 1 <= r <= n:
                 raise ValueError(f"rank {r} for mode {j} must be in [1, {n}]")
         if self.max_iters < 1:
@@ -153,14 +151,6 @@ def reconstruction_error(X, T: TuckerDecomposition) -> float:
     if X.shape != T.shape:
         raise ValueError(f"tensor shape {X.shape} does not match decomposition {T.shape}")
     return norm(X - reconstruct(T))
-
-
-def relative_fit(X, T: TuckerDecomposition) -> float:
-    """1 - error/||X||; undefined (raises) for a zero tensor."""
-    nx = norm(X)
-    if nx == 0.0:
-        raise ValueError("relative fit is undefined for a zero tensor")
-    return 1.0 - reconstruction_error(X, T) / nx
 
 
 def _fix_sign(U: np.ndarray) -> np.ndarray:
@@ -339,18 +329,3 @@ def decompose(X, config: DecomposerConfig):
     if norm(X) == 0.0:
         raise ValueError("cannot decompose a zero tensor (fit undefined)")
     return _run(X, config)
-
-
-def hooi(X, config: DecomposerConfig):
-    """Alternating orthogonal iteration on the raw tensor."""
-    return decompose(X, replace(config, method="hooi"))
-
-
-def hooi_re(X, config: DecomposerConfig):
-    """Randomized iteration; core solved on the fully sketched data."""
-    return decompose(X, replace(config, method="hooi-re"))
-
-
-def hooi_re_star(X, config: DecomposerConfig):
-    """Randomized iteration; core projected from the full mixed data."""
-    return decompose(X, replace(config, method="hooi-re-star"))

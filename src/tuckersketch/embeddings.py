@@ -32,7 +32,6 @@ __all__ = [
     "JLCheck",
     "make_embedding",
     "apply_embedding",
-    "apply_embedding_mode",
     "embedding_matrix",
     "dct_matrix",
     "make_mix_operators",
@@ -42,7 +41,6 @@ __all__ = [
     "subsample_mode",
     "sample_size",
     "is_eps_jl",
-    "jl_failure_rate",
 ]
 
 FAMILIES = ("srft", "gaussian")
@@ -104,23 +102,9 @@ def _sign_dct(X: np.ndarray, signs: np.ndarray, mode: int) -> np.ndarray:
     return scipy.fft.dct(X * signs.reshape(shape), type=2, axis=mode, norm="ortho")
 
 
-def apply_embedding(E: Embedding, M) -> np.ndarray:
-    """Apply the embedding to a matrix of stacked columns (or one vector).
-
-    The mode-0 case of :func:`apply_embedding_mode`.
-    """
-    M = as_tensor(M)
-    squeeze = M.ndim == 1
-    if squeeze:
-        M = M[:, None]
-    if M.shape[0] != E.n:
-        raise ValueError(f"input has {M.shape[0]} rows, embedding expects {E.n}")
-    out = apply_embedding_mode(E, M, 0)
-    return out[:, 0] if squeeze else out
-
-
-def apply_embedding_mode(E: Embedding, X, mode: int) -> np.ndarray:
-    """Apply the embedding along one mode of a tensor.
+def apply_embedding(E: Embedding, X, mode: int = 0) -> np.ndarray:
+    """Apply the embedding along one mode of a tensor; the default mode 0
+    maps a vector, or each column of a matrix of stacked columns.
 
     An SRFT mixes the mode (sign flip, DCT) and keeps its sampled rows
     through :func:`subsample_mode`; a Gaussian map is one mode product.
@@ -220,21 +204,3 @@ def is_eps_jl(E: Embedding, vectors, eps: float) -> JLCheck:
     distortions[nonzero] = mapped_sq[nonzero] / sq[nonzero] - 1.0
     passed = np.abs(distortions) < eps
     return JLCheck(distortions=distortions, passed=passed, ok=bool(passed.all()))
-
-
-def jl_failure_rate(kind, n, m, make_set, eps, trials, seed) -> float:
-    """Fraction of fresh embedding draws that distort some set vector by >= eps.
-
-    Trial t draws everything from its own stream ``(seed, TRIAL, t)``:
-    first the embedding, then whatever ``make_set(gen)`` draws to build
-    the vectors (rows) it returns.
-    """
-    if trials < 1:
-        raise ValueError("trials must be at least 1")
-    failures = 0
-    for t in range(trials):
-        gen = rng.stream(seed, rng.TRIAL, t)
-        E = make_embedding(kind, n, m, gen)
-        if not is_eps_jl(E, make_set(gen), eps).ok:
-            failures += 1
-    return failures / trials

@@ -12,8 +12,9 @@ order.  Stream tags used by the library:
             draws from this one stream, in a fixed order per suite --
             lemma21 sizes, decomposition, map; lemma-a embedding, x, y;
             prop1 and th1 decomposition, embeddings; th4 embeddings, all
-            candidates; jl_failure_rate embedding, vector set.  th4's fixed
-            tensor and sub-decomposition use one stream (TRIAL, 10000, 0).
+            candidates; and, in the tests only, the JL failure-rate helper
+            embedding, vector set.  th4's fixed tensor and sub-decomposition
+            use one stream (TRIAL, 10000, 0).
 """
 
 from __future__ import annotations

@@ -1,4 +1,4 @@
-"""Dense tensor primitives: unfolding, folding, mode products, inner products.
+"""Dense tensor primitives: vectorisation, unfolding, mode products, inner products.
 
 Tensors are plain float64 numpy arrays of any order q >= 1.  The flat
 layout used throughout the package (and by the TKR1 file format) is
@@ -24,12 +24,10 @@ __all__ = [
     "from_vec",
     "to_vec",
     "matricize",
-    "dematricize",
     "mode_multiply",
     "multi_mode_multiply",
     "inner",
     "norm",
-    "kronecker",
 ]
 
 
@@ -69,21 +67,6 @@ def matricize(X, mode: int) -> np.ndarray:
     X = as_tensor(X)
     _check_mode(X, mode)
     return np.moveaxis(X, mode, 0).reshape(X.shape[mode], -1, order="F")
-
-
-def dematricize(M, mode: int, shape: Sequence[int]) -> np.ndarray:
-    """Inverse of :func:`matricize` for the given target shape."""
-    M = as_tensor(M)
-    shape = tuple(int(n) for n in shape)
-    if not 0 <= mode < len(shape):
-        raise ValueError(f"mode {mode} out of range for shape {shape}")
-    if M.ndim != 2:
-        raise ValueError("expected a matrix")
-    rest = [shape[k] for k in range(len(shape)) if k != mode]
-    if M.shape[0] != shape[mode] or M.size != int(np.prod(shape)):
-        raise ValueError(f"matrix of shape {M.shape} does not fold into {shape} along mode {mode}")
-    folded = M.reshape([shape[mode]] + rest, order="F")
-    return np.moveaxis(folded, 0, mode)
 
 
 def mode_multiply(X, B, mode: int) -> np.ndarray:
@@ -135,12 +118,3 @@ def inner(X, Y) -> float:
 def norm(X) -> float:
     """Frobenius norm, i.e. the 2-norm of the vectorisation."""
     return float(np.linalg.norm(as_tensor(X)))
-
-
-def kronecker(A, B) -> np.ndarray:
-    """Kronecker product of two matrices."""
-    A = as_tensor(A)
-    B = as_tensor(B)
-    if A.ndim != 2 or B.ndim != 2:
-        raise ValueError("kronecker expects matrices")
-    return np.kron(A, B)

@@ -9,7 +9,7 @@ orthonormal columns (checked at construction to 1e-10).
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -17,10 +17,9 @@ from .tensor import as_tensor, matricize, mode_multiply, multi_mode_multiply
 
 __all__ = [
     "TuckerDecomposition",
-    "CoherenceReport",
+    "random_orthogonal_tucker",
     "reconstruct",
     "mode_coherence",
-    "coherence",
     "apply_mode_map",
     "norm_via_gram",
     "psi_matrix",
@@ -81,12 +80,11 @@ def _orthonormality_gap(f: np.ndarray) -> float:
     return float(np.max(np.abs(f.T @ f - np.eye(f.shape[1]))))
 
 
-@dataclass
-class CoherenceReport:
-    """Per-mode and overall mutual coherence of the factor columns."""
-
-    per_mode: list[float] = field(default_factory=list)
-    overall: float = 0.0
+def random_orthogonal_tucker(dims, ranks, gen: np.random.Generator) -> TuckerDecomposition:
+    """Random decomposition drawn from ``gen``: orthonormal factors (QR of
+    N(0,1) matrices, in mode order), then an N(0,1) core."""
+    factors = [np.linalg.qr(gen.standard_normal((n, r)))[0] for n, r in zip(dims, ranks)]
+    return TuckerDecomposition(gen.standard_normal(tuple(ranks)), factors, orthogonal=True)
 
 
 def reconstruct(T: TuckerDecomposition) -> np.ndarray:
@@ -114,12 +112,6 @@ def mode_coherence(T: TuckerDecomposition, mode: int) -> float:
     return float(min(1.0, gram.max()))
 
 
-def coherence(T: TuckerDecomposition) -> CoherenceReport:
-    """Coherence of every factor; overall value is the maximum."""
-    per_mode = [mode_coherence(T, j) for j in range(T.order)]
-    return CoherenceReport(per_mode=per_mode, overall=max(per_mode))
-
-
 def apply_mode_map(T: TuckerDecomposition, B, mode: int) -> TuckerDecomposition:
     """Push a linear map through one mode, renormalising the new columns.
 
@@ -142,22 +134,18 @@ def apply_mode_map(T: TuckerDecomposition, B, mode: int) -> TuckerDecomposition:
     return TuckerDecomposition(new_core, new_factors, orthogonal=False)
 
 
-def psi_matrix(T: TuckerDecomposition, mode: int) -> np.ndarray:
+def psi_matrix(core, factors, mode: int) -> np.ndarray:
     """Weight matrix pairing factor-``mode`` columns with everything else.
 
     Returns the ``(R_mode, prod(n_k, k != mode))`` matrix W such that the
-    mode unfolding of the reconstruction is ``factor_mode @ W``: the mode
-    unfolding of the core multiplied by every other factor along its mode.
+    mode unfolding of the reconstruction is ``factors[mode] @ W``: the
+    mode unfolding of the core multiplied by every other factor along its
+    mode.  The factors need not form a valid decomposition (a factor may
+    have fewer rows than columns), and ``factors[mode]`` is never read.
     """
-    if not 0 <= mode < T.order:
-        raise ValueError(f"mode {mode} out of range for order-{T.order} decomposition")
-    return _psi(T.core, T.factors, mode)
-
-
-def _psi(core: np.ndarray, factors, mode: int) -> np.ndarray:
-    """:func:`psi_matrix` of a core and factors that need not form a valid
-    decomposition (a factor may have fewer rows than columns; the free
-    factor ``factors[mode]`` is never read)."""
+    core = as_tensor(core)
+    if not 0 <= mode < core.ndim:
+        raise ValueError(f"mode {mode} out of range for order-{core.ndim} decomposition")
     others = [None if k == mode else f for k, f in enumerate(factors)]
     return matricize(multi_mode_multiply(core, others), mode)
 
@@ -170,12 +158,12 @@ def norm_via_gram(T: TuckerDecomposition, B, mode: int) -> float:
     ``norm(mode_multiply(reconstruct(T), B, mode)) ** 2`` without forming
     the mapped tensor.
     """
+    psi = psi_matrix(T.core, T.factors, mode)
     B = as_tensor(B)
     if B.ndim != 2 or B.shape[1] != T.shape[mode]:
         raise ValueError(
             f"mode map must have {T.shape[mode]} columns, got shape {B.shape}"
         )
-    psi = psi_matrix(T, mode)
     return _weighted_sq_norm(psi @ psi.T, B @ T.factors[mode])
 
 

@@ -9,10 +9,10 @@ dense route: they materialise every tensor and every embedding matrix.
 import numpy as np
 
 from tuckersketch import rng
-from tuckersketch.bounds import _trial_embeddings, random_orthogonal_tucker
+from tuckersketch.bounds import _trial_embeddings
 from tuckersketch.embeddings import embedding_matrix
 from tuckersketch.tensor import multi_mode_multiply, norm
-from tuckersketch.tucker import TuckerDecomposition, reconstruct
+from tuckersketch.tucker import TuckerDecomposition, random_orthogonal_tucker, reconstruct
 
 
 def matricize_oracle(X, mode):
@@ -46,17 +46,6 @@ def mode_multiply_oracle(X, B, mode):
             src[mode] = t
             acc += B[idx[mode], t] * X[tuple(src)]
         out[idx] = acc
-    return out
-
-
-def kron_oracle(A, B):
-    """Index-loop Kronecker product."""
-    out = np.zeros((A.shape[0] * B.shape[0], A.shape[1] * B.shape[1]))
-    for i in range(A.shape[0]):
-        for j in range(A.shape[1]):
-            for k in range(B.shape[0]):
-                for l in range(B.shape[1]):
-                    out[i * B.shape[0] + k, j * B.shape[1] + l] = A[i, j] * B[k, l]
     return out
 
 

@@ -15,7 +15,6 @@ from tuckersketch.bounds import (
     estimate_subspace_dim,
     max_admissible_eps,
     pair_vector_set,
-    random_orthogonal_tucker,
     residual_embedding_dim_bound,
     run_lemma21_suite,
     run_lemma_a_suite,
@@ -24,7 +23,7 @@ from tuckersketch.bounds import (
 from tuckersketch.embeddings import embedding_matrix, make_embedding
 from tuckersketch import rng
 from tuckersketch.tensor import mode_multiply, norm
-from tuckersketch.tucker import TuckerDecomposition, reconstruct
+from tuckersketch.tucker import TuckerDecomposition, random_orthogonal_tucker, reconstruct
 
 from oracles import multimode_distortion_oracle, residual_distortion_oracle, subspace_dim_oracle
 
@@ -316,6 +315,9 @@ def test_estimate_subspace_dim_matches_sampled_rank(mode):
     got = estimate_subspace_dim(core, factors, mode)
     assert got == dims[mode] * ranks[mode]
     assert got == subspace_dim_oracle(core, factors, mode, np.random.default_rng(mode))
+    # the mode is range-checked before the factor lookup
+    with pytest.raises(ValueError, match="out of range"):
+        estimate_subspace_dim(core, factors, mode + 3)
 
 
 @pytest.mark.parametrize("mode", [0, 1, 2])

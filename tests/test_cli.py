@@ -7,7 +7,7 @@ import pytest
 
 from tuckersketch.bench import read_rows, synth_tensor
 from tuckersketch.cli import main
-from tuckersketch.decompose import DecomposerConfig, hooi, reconstruction_error
+from tuckersketch.decompose import DecomposerConfig, decompose, reconstruction_error
 from tuckersketch.fileio import read_decomposition, read_tensor, write_tensor
 
 
@@ -50,7 +50,7 @@ def test_decompose_full_sampling_matches_hooi(tmp_path):
     assert rc == 0
 
     T = read_decomposition(t_path)
-    T_ref, _ = hooi(X, DecomposerConfig(ranks=(3, 3, 3), seed=7))
+    T_ref, _ = decompose(X, DecomposerConfig(ranks=(3, 3, 3), seed=7))
     err = reconstruction_error(X, T)
     err_ref = reconstruction_error(X, T_ref)
     assert abs(err - err_ref) <= 1e-8
@@ -133,6 +133,17 @@ def test_verify_lemma_a_fails_when_no_draw_is_checked(capsys):
     out = capsys.readouterr().out
     assert out.startswith("lemma-a: FAIL ")
     assert "satisfied=0" in out
+
+
+@pytest.mark.parametrize(
+    "suite, flag", [("lemma21", "--eps"), ("lemma21", "--eta"), ("lemma-a", "--eta"), ("prop1", "--eta")]
+)
+def test_verify_rejects_bound_flag_the_suite_does_not_take(suite, flag, capsys):
+    # a flag the suite cannot use is an error, never silently dropped
+    assert main(["verify", "--suite", suite, "--trials", "5", flag, "0.5"]) == 1
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert f"{flag} does not apply to suite {suite}" in captured.err
 
 
 def test_verify_unknown_suite_is_usage_error():

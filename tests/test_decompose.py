@@ -9,12 +9,8 @@ from tuckersketch.decompose import (
     STAGES,
     DecomposerConfig,
     decompose,
-    hooi,
-    hooi_re,
-    hooi_re_star,
     hosvd,
     reconstruction_error,
-    relative_fit,
 )
 from tuckersketch.tensor import inner, norm
 from tuckersketch.tucker import TuckerDecomposition, reconstruct
@@ -42,6 +38,14 @@ def test_config_validation():
         decompose(X, DecomposerConfig(ranks=(2, 2, 2), method="hooi-re", dr=0.5, compress_modes=(3,)))
     with pytest.raises(ValueError):
         decompose(np.zeros((3, 3)), DecomposerConfig(ranks=(2, 2)))
+    # ranks are checked up front, not by a TypeError inside the initial SVD
+    for ranks in [(2.5, 2, 2), (2.0, 2, 2), ("2", 2, 2)]:
+        with pytest.raises(ValueError, match="must be an integer"):
+            decompose(X, DecomposerConfig(ranks=ranks))
+        with pytest.raises(ValueError, match="must be an integer"):
+            hosvd(X, ranks)
+    T, _ = decompose(X, DecomposerConfig(ranks=(np.int64(2), np.int32(2), 2)))
+    assert T.ranks == (2, 2, 2)
 
 
 def test_hosvd_exact_recovery_and_orthogonality():
@@ -68,7 +72,7 @@ def test_hosvd_error_decreases_with_rank():
 
 def test_hooi_exact_recovery():
     X = synth_tensor((30, 30, 30), (4, 4, 4), 0.0, 42)
-    T, report = hooi(X, DecomposerConfig(ranks=(4, 4, 4), seed=0))
+    T, report = decompose(X, DecomposerConfig(ranks=(4, 4, 4), seed=0))
     assert report.final_error <= 1e-8
     assert report.iterations <= 10
 
@@ -76,41 +80,41 @@ def test_hooi_exact_recovery():
 def test_hooi_with_full_ranks_is_near_exact():
     gen = np.random.default_rng(8)
     X = gen.standard_normal((6, 5, 4))
-    _, report = hooi(X, DecomposerConfig(ranks=(6, 5, 4), seed=0))
+    _, report = decompose(X, DecomposerConfig(ranks=(6, 5, 4), seed=0))
     assert report.final_error <= 1e-10
 
 
 def test_hooi_never_worse_than_hosvd():
     X = noisy_tensor((20, 20, 20), (3, 3, 3), 0.1, 9)
     T0 = hosvd(X, (3, 3, 3))
-    _, report = hooi(X, DecomposerConfig(ranks=(3, 3, 3), seed=0))
+    _, report = decompose(X, DecomposerConfig(ranks=(3, 3, 3), seed=0))
     assert report.final_error <= reconstruction_error(X, T0) + 1e-12
 
 
 def test_hooi_fit_trace_is_nondecreasing():
     X = noisy_tensor((16, 14, 12), (3, 3, 3), 0.2, 10)
-    _, report = hooi(X, DecomposerConfig(ranks=(3, 3, 3), seed=0, rel_tol=0.0, max_iters=25))
+    _, report = decompose(X, DecomposerConfig(ranks=(3, 3, 3), seed=0, rel_tol=0.0, max_iters=25))
     trace = report.fit_trace
     assert all(b >= a - 1e-12 for a, b in zip(trace, trace[1:]))
 
 
 def test_hooi_re_full_sampling_matches_hooi_on_exact_input():
     X = synth_tensor((18, 16, 14), (3, 3, 3), 0.0, 11)
-    _, r_plain = hooi(X, DecomposerConfig(ranks=(3, 3, 3), seed=0))
-    _, r_re = hooi_re(X, DecomposerConfig(ranks=(3, 3, 3), dr=1.0, seed=123))
+    _, r_plain = decompose(X, DecomposerConfig(ranks=(3, 3, 3), seed=0))
+    _, r_re = decompose(X, DecomposerConfig(method="hooi-re", ranks=(3, 3, 3), dr=1.0, seed=123))
     assert abs(r_plain.final_error - r_re.final_error) <= 1e-8
 
 
 def test_hooi_re_half_sampling_recovers_exact_input():
     X = synth_tensor((30, 30, 30), (4, 4, 4), 0.0, 42)
-    _, report = hooi_re(X, DecomposerConfig(ranks=(4, 4, 4), dr=0.5, seed=7))
+    _, report = decompose(X, DecomposerConfig(method="hooi-re", ranks=(4, 4, 4), dr=0.5, seed=7))
     assert report.final_error <= 1e-6
 
 
 def test_hooi_re_star_full_sampling_matches_hooi_on_exact_input():
     X = synth_tensor((18, 16, 14), (3, 3, 3), 0.0, 12)
-    _, r_plain = hooi(X, DecomposerConfig(ranks=(3, 3, 3), seed=0))
-    _, r_star = hooi_re_star(X, DecomposerConfig(ranks=(3, 3, 3), dr=1.0, seed=321))
+    _, r_plain = decompose(X, DecomposerConfig(ranks=(3, 3, 3), seed=0))
+    _, r_star = decompose(X, DecomposerConfig(method="hooi-re-star", ranks=(3, 3, 3), dr=1.0, seed=321))
     assert abs(r_plain.final_error - r_star.final_error) <= 1e-8
 
 
@@ -118,7 +122,7 @@ def test_undersampled_core_uses_pseudoinverse_and_stays_finite():
     # sample smaller than the rank: the normal equations are singular and
     # the least-squares fallback must still produce a usable core
     X = noisy_tensor((40, 40, 40), (8, 8, 8), 0.05, 13)
-    _, report = hooi_re(X, DecomposerConfig(ranks=(8, 8, 8), dr=0.1, seed=3))
+    _, report = decompose(X, DecomposerConfig(method="hooi-re", ranks=(8, 8, 8), dr=0.1, seed=3))
     assert np.isfinite(report.final_error)
 
 
@@ -126,8 +130,8 @@ def test_star_beats_plain_re_when_undersampled():
     X = noisy_tensor((40, 40, 40), (8, 8, 8), 0.05, 13)
     errs_re, errs_star = [], []
     for seed in range(5):
-        _, r1 = hooi_re(X, DecomposerConfig(ranks=(8, 8, 8), dr=0.1, seed=seed))
-        _, r2 = hooi_re_star(X, DecomposerConfig(ranks=(8, 8, 8), dr=0.1, seed=seed))
+        _, r1 = decompose(X, DecomposerConfig(method="hooi-re", ranks=(8, 8, 8), dr=0.1, seed=seed))
+        _, r2 = decompose(X, DecomposerConfig(method="hooi-re-star", ranks=(8, 8, 8), dr=0.1, seed=seed))
         errs_re.append(r1.final_error)
         errs_star.append(r2.final_error)
     assert np.median(errs_star) <= np.median(errs_re)
@@ -135,8 +139,8 @@ def test_star_beats_plain_re_when_undersampled():
 
 def test_compress_modes_subset_leaves_other_modes_uncompressed():
     X = noisy_tensor((12, 30, 12), (2, 3, 2), 0.01, 14)
-    _, report = hooi_re(
-        X, DecomposerConfig(ranks=(2, 3, 2), dr=0.5, compress_modes=(1,), seed=5)
+    _, report = decompose(
+        X, DecomposerConfig(ranks=(2, 3, 2), method="hooi-re", dr=0.5, compress_modes=(1,), seed=5)
     )
     assert np.isfinite(report.final_error)
     assert report.final_error <= 0.5 * norm(X)
@@ -166,36 +170,26 @@ def test_determinism_same_seed_bitwise():
 
 def test_random_init_also_converges():
     X = synth_tensor((20, 20, 20), (3, 3, 3), 0.0, 17)
-    _, report = hooi(X, DecomposerConfig(ranks=(3, 3, 3), seed=2, init="random", max_iters=50))
+    _, report = decompose(X, DecomposerConfig(ranks=(3, 3, 3), seed=2, init="random", max_iters=50))
     assert report.final_error <= 1e-6
 
 
 def test_reconstruction_error_cross_check():
     X = noisy_tensor((10, 11, 12), (3, 3, 3), 0.1, 18)
-    T, _ = hooi(X, DecomposerConfig(ranks=(3, 3, 3), seed=0))
+    T, _ = decompose(X, DecomposerConfig(ranks=(3, 3, 3), seed=0))
     err = reconstruction_error(X, T)
     Xhat = reconstruct(T)
     algebraic = norm(X) ** 2 - 2.0 * inner(X, Xhat) + norm(Xhat) ** 2
     assert err**2 == pytest.approx(algebraic, rel=1e-10)
-
-
-def test_relative_fit_edges():
-    gen = np.random.default_rng(19)
-    X = gen.standard_normal((4, 4))
-    full = hosvd(X, (4, 4))
-    assert relative_fit(X, full) == pytest.approx(1.0, abs=1e-12)
-    zero_core = TuckerDecomposition(np.zeros((2, 2)), [np.eye(4, 2), np.eye(4, 2)])
+    zero_core = TuckerDecomposition(np.zeros((3, 3, 3)), [np.eye(n, 3) for n in X.shape])
     assert reconstruction_error(X, zero_core) == pytest.approx(norm(X))
-    assert relative_fit(X, zero_core) == pytest.approx(0.0, abs=1e-12)
     with pytest.raises(ValueError):
-        relative_fit(np.zeros((4, 4)), full)
-    with pytest.raises(ValueError):
-        reconstruction_error(np.zeros((3, 3)), full)
+        reconstruction_error(np.zeros((3, 3)), T)
 
 
 def test_run_report_shape_and_json():
     X = noisy_tensor((12, 12, 12), (2, 2, 2), 0.1, 20)
-    _, report = hooi_re(X, DecomposerConfig(ranks=(2, 2, 2), dr=0.5, seed=4))
+    _, report = decompose(X, DecomposerConfig(method="hooi-re", ranks=(2, 2, 2), dr=0.5, seed=4))
     assert report.iterations == len(report.fit_trace)
     for stage in STAGES:
         assert len(report.stage_times[stage]) == report.iterations

@@ -4,12 +4,10 @@ import pytest
 from tuckersketch import rng
 from tuckersketch.embeddings import (
     apply_embedding,
-    apply_embedding_mode,
     dct_matrix,
     draw_sample_rows,
     embedding_matrix,
     is_eps_jl,
-    jl_failure_rate,
     make_embedding,
     make_mix_operators,
     mix,
@@ -85,9 +83,9 @@ def test_apply_embedding_row_mismatch():
         with pytest.raises(ValueError):
             apply_embedding(E, np.zeros((9, 2)))
         with pytest.raises(ValueError, match="does not have size 8"):
-            apply_embedding_mode(E, np.zeros((8, 9)), 1)
+            apply_embedding(E, np.zeros((8, 9)), 1)
         with pytest.raises(ValueError, match="does not have size 8"):
-            apply_embedding_mode(E, np.zeros((8, 9)), 2)
+            apply_embedding(E, np.zeros((8, 9)), 2)
 
 
 def test_apply_embedding_mode_matches_unfolding():
@@ -96,7 +94,7 @@ def test_apply_embedding_mode_matches_unfolding():
     for kind in ("srft", "gaussian"):
         for mode in range(3):
             E = make_embedding(kind, X.shape[mode], 3, rng.stream(5))
-            Y = apply_embedding_mode(E, X, mode)
+            Y = apply_embedding(E, X, mode)
             shape = list(X.shape)
             shape[mode] = 3
             assert Y.shape == tuple(shape)
@@ -195,6 +193,22 @@ def test_is_eps_jl_validation():
         is_eps_jl(E, np.zeros((1, 9)), eps=0.5)
     with pytest.raises(ValueError):
         is_eps_jl(E, np.zeros((1, 8)), eps=0.0)
+
+
+def jl_failure_rate(kind, n, m, make_set, eps, trials, seed) -> float:
+    """Fraction of fresh embedding draws that distort some set vector by >= eps.
+
+    Trial t draws everything from its own stream ``(seed, TRIAL, t)``:
+    first the embedding, then whatever ``make_set(gen)`` draws to build
+    the vectors (rows) it returns.
+    """
+    failures = 0
+    for t in range(trials):
+        gen = rng.stream(seed, rng.TRIAL, t)
+        E = make_embedding(kind, n, m, gen)
+        if not is_eps_jl(E, make_set(gen), eps).ok:
+            failures += 1
+    return failures / trials
 
 
 def test_jl_failure_rate_zero_for_full_sampling():

@@ -2,10 +2,8 @@ import numpy as np
 import pytest
 
 from tuckersketch.tensor import (
-    dematricize,
     from_vec,
     inner,
-    kronecker,
     matricize,
     mode_multiply,
     multi_mode_multiply,
@@ -13,7 +11,7 @@ from tuckersketch.tensor import (
     to_vec,
 )
 
-from oracles import integer_tensor, kron_oracle, matricize_oracle, mode_multiply_oracle
+from oracles import integer_tensor, matricize_oracle, mode_multiply_oracle
 
 
 def small_cube():
@@ -42,25 +40,12 @@ def test_matricize_matches_index_loop_oracle_exactly():
             assert np.array_equal(matricize(X, mode), matricize_oracle(X, mode))
 
 
-def test_dematricize_round_trip():
-    gen = np.random.default_rng(2)
-    for shape in [(4,), (3, 5), (2, 3, 4), (3, 2, 4, 2)]:
-        X = gen.standard_normal(shape)
-        for mode in range(len(shape)):
-            assert np.array_equal(dematricize(matricize(X, mode), mode, shape), X)
-
-
 def test_matricize_mode_out_of_range():
     X = small_cube()
     with pytest.raises(ValueError):
         matricize(X, 3)
     with pytest.raises(ValueError):
         matricize(X, -1)
-
-
-def test_dematricize_shape_mismatch():
-    with pytest.raises(ValueError):
-        dematricize(np.zeros((2, 3)), 0, (2, 2, 2))
 
 
 def test_mode_multiply_diag_frozen_example():
@@ -133,32 +118,6 @@ def test_norm_is_vec_two_norm():
     X = gen.standard_normal((4, 3, 2))
     assert norm(X) == pytest.approx(np.linalg.norm(to_vec(X)), rel=1e-15)
     assert norm(X) ** 2 == pytest.approx(inner(X, X), rel=1e-12)
-
-
-def test_kronecker_frozen_example():
-    assert np.array_equal(kronecker([[1.0, 2.0]], [[3.0], [4.0]]), [[3, 6], [4, 8]])
-    assert np.array_equal(kronecker(np.eye(2), np.eye(3)), np.eye(6))
-
-
-def test_kronecker_matches_index_loop_oracle():
-    gen = np.random.default_rng(9)
-    A = integer_tensor(gen, (2, 3))
-    B = integer_tensor(gen, (3, 2))
-    assert np.array_equal(kronecker(A, B), kron_oracle(A, B))
-
-
-def test_kronecker_mixed_product_property():
-    gen = np.random.default_rng(10)
-    A, B = gen.standard_normal((2, 3)), gen.standard_normal((3, 2))
-    C, D = gen.standard_normal((3, 4)), gen.standard_normal((4, 5))
-    lhs = kronecker(A, C) @ kronecker(B, D)
-    # (A kron C)(B kron D) == (A B) kron (C D)
-    assert np.allclose(lhs, kronecker(A @ B, C @ D), atol=1e-12)
-
-
-def test_kronecker_rejects_non_matrices():
-    with pytest.raises(ValueError):
-        kronecker(np.zeros(3), np.eye(2))
 
 
 def test_from_vec_validation():

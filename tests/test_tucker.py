@@ -3,21 +3,18 @@ import pytest
 
 from tuckersketch.tensor import matricize, mode_multiply, norm
 from tuckersketch.tucker import (
-    CoherenceReport,
     TuckerDecomposition,
     apply_mode_map,
-    coherence,
     mode_coherence,
     norm_via_gram,
     psi_matrix,
+    random_orthogonal_tucker,
     reconstruct,
 )
 
 
 def random_orthogonal(dims, ranks, seed):
-    gen = np.random.default_rng(seed)
-    factors = [np.linalg.qr(gen.standard_normal((n, r)))[0] for n, r in zip(dims, ranks)]
-    return TuckerDecomposition(gen.standard_normal(ranks), factors, orthogonal=True)
+    return random_orthogonal_tucker(dims, ranks, np.random.default_rng(seed))
 
 
 def test_identity_factors_reconstruct_core():
@@ -78,16 +75,6 @@ def test_mode_coherence_single_column_and_zero_column():
         mode_coherence(bad, 0)
 
 
-def test_coherence_report_overall_is_max():
-    f0 = np.column_stack([np.array([1.0, 0.0, 0.0]), np.array([1.0, 1.0, 0.0]) / np.sqrt(2)])
-    T = TuckerDecomposition(np.ones((2, 2)), [f0, np.eye(3)[:, :2]])
-    report = coherence(T)
-    assert isinstance(report, CoherenceReport)
-    assert report.per_mode == [pytest.approx(1 / np.sqrt(2)), 0.0]
-    assert report.overall == max(report.per_mode)
-    assert all(0.0 <= mu <= 1.0 for mu in report.per_mode)
-
-
 def test_apply_mode_map_identity_and_scaling():
     T = random_orthogonal((5, 4), (2, 2), seed=3)
     mapped = apply_mode_map(T, np.eye(5), 0)
@@ -129,7 +116,7 @@ def test_psi_matrix_unfolding_identity():
         T = random_orthogonal(dims, ranks, seed=5)
         Y = reconstruct(T)
         for j in range(len(dims)):
-            psi = psi_matrix(T, j)
+            psi = psi_matrix(T.core, T.factors, j)
             assert psi.shape == (ranks[j], int(np.prod(dims)) // dims[j])
             assert np.allclose(matricize(Y, j), T.factors[j] @ psi, atol=1e-12)
 
@@ -159,3 +146,10 @@ def test_norm_via_gram_shape_check():
     T = random_orthogonal((4, 4), (2, 2), seed=8)
     with pytest.raises(ValueError):
         norm_via_gram(T, np.zeros((2, 3)), 0)
+    # the mode is range-checked before the shape lookup
+    T3 = random_orthogonal((5, 4, 3), (2, 2, 2), seed=9)
+    for mode in (3, -1):
+        with pytest.raises(ValueError, match="out of range"):
+            norm_via_gram(T3, np.eye(5), mode)
+        with pytest.raises(ValueError, match="out of range"):
+            psi_matrix(T3.core, T3.factors, mode)
