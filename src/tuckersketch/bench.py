@@ -79,9 +79,8 @@ class BenchConfig:
                 raise ValueError(f"unknown method {m!r}, expected one of {METHODS}")
         if not self.ranks:
             raise ValueError("no ranks selected")
-        for R in self.ranks:
-            if any(R > n for n in shape) or R < 1:
-                raise ValueError(f"rank {R} invalid for tensor shape {shape}")
+        for R in self.ranks:  # the solver's own integer and range check
+            DecomposerConfig(ranks=(R,) * len(shape)).validate(shape)
         if self.reps < 1:
             raise ValueError("reps must be at least 1")
         if any(m in RANDOMIZED for m in self.methods) and not self.dr_grid:

@@ -16,6 +16,7 @@ from pathlib import Path
 from . import bounds
 from .bench import BenchConfig, run_bench, synth_tensor
 from .decompose import METHODS, DecomposerConfig, decompose
+from .embeddings import FAMILIES
 from .fileio import read_tensor, write_decomposition, write_tensor
 
 
@@ -31,13 +32,14 @@ def _tail_fraction(report) -> str:
     return f"failure_fraction={report.failure_fraction:.4f} threshold={report.threshold:.4f}"
 
 
-# suite -> (runner, keyword taking --trials, keywords taking --eps/--eta, summary line)
+# suite -> (runner, keyword taking --trials, keywords taking --eps/--eta/--family,
+# summary line)
 _VERIFY_SUITES = {
     "lemma21": (bounds.run_lemma21_suite, "trials", (), _gram_error),
-    "lemma-a": (bounds.run_lemma_a_suite, "trials", ("eps",), _violations),
-    "prop1": (bounds.run_prop1_suite, "target", ("eps",), _violations),
-    "th1": (bounds.run_th1_suite, "trials", ("eps", "eta"), _tail_fraction),
-    "th4": (bounds.run_th4_suite, "trials", ("eps", "eta"), _tail_fraction),
+    "lemma-a": (bounds.run_lemma_a_suite, "trials", ("eps", "family"), _violations),
+    "prop1": (bounds.run_prop1_suite, "target", ("eps", "family"), _violations),
+    "th1": (bounds.run_th1_suite, "trials", ("eps", "eta", "family"), _tail_fraction),
+    "th4": (bounds.run_th4_suite, "trials", ("eps", "eta", "family"), _tail_fraction),
 }
 SUITES = tuple(_VERIFY_SUITES)
 
@@ -110,6 +112,8 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--trials", type=int, default=200)
     p.add_argument("--eps", type=float, default=None)
     p.add_argument("--eta", type=float, default=None)
+    p.add_argument("--family", choices=FAMILIES, default=None,
+                   help="embedding family; default the suite's own (gaussian)")
     p.add_argument("--seed", type=int, default=1)
     p.add_argument("--out", default=None, help="JSON report output")
     return parser
@@ -166,9 +170,9 @@ def _cmd_bench(args) -> int:
 
 def _cmd_verify(args) -> int:
     run, trials_kw, bound_kws, summary = _VERIFY_SUITES[args.suite]
-    # an unset --eps/--eta keeps the suite's own default; a suite without
-    # the keyword rejects the flag rather than ignore it
-    given = {kw: getattr(args, kw) for kw in ("eps", "eta") if getattr(args, kw) is not None}
+    # an unset --eps/--eta/--family keeps the suite's own default; a suite
+    # without the keyword rejects the flag rather than ignore it
+    given = {kw: getattr(args, kw) for kw in ("eps", "eta", "family") if getattr(args, kw) is not None}
     for kw in given:
         if kw not in bound_kws:
             raise ValueError(f"--{kw} does not apply to suite {args.suite}")

@@ -28,13 +28,30 @@ orthonormal factor is U V^T from a thin SVD of the partially contracted
 unfolding times the core unfolding transposed.  The randomized variants
 use the most recently updated core throughout a sweep.
 
+The one full-size array a run allocates is the mixed working copy
+``Xw`` (none when no mode is compressed, where ``Xw`` is the input
+itself); every sketch, factor update and core update works on it.
+
 Convergence is declared when the relative fit (1 - residual/norm),
 measured on the data the method actually fits (sketched data for
-``hooi-re``, mixed data for ``hooi-re-star``), improves by less than
-``rel_tol``.  The reported ``final_error`` is always the Frobenius
-reconstruction error against the original input, after the factors are
-pulled back through the mixing maps; with zero sweeps the fit trace holds
-the one fit of the initial guess.
+``hooi-re``, mixed data for the others), improves by less than
+``rel_tol``.  The reported ``final_error`` is the Frobenius
+reconstruction error against the original input; with zero sweeps the
+fit trace holds the one fit of the initial guess.  Mixing is orthogonal,
+so both residuals are taken on ``Xw`` with the mixed factors, before
+the factors are pulled back through the mixing maps.  Neither forms a
+reconstruction: with orthonormal factors and P the projection of ``Xw``
+onto them,
+
+    ||Xw - G x_k U_k||^2 = ||Xw||^2 - 2 <P, G> + ||G||^2,
+
+where P is the core itself for ``hosvd``, ``hooi`` and ``hooi-re-star``
+and one extra projection pass for ``hooi-re``'s least-squares core.
+When that sum falls below 1e-6 ||Xw||^2 the expansion has cancelled to
+rounding noise (near-exact recovery), and the residual is recomputed
+densely instead.  ``hooi-re``'s sweep fit is the dense residual on its
+small sketched data, whose factors are not orthonormal.  ||Xw|| is taken
+once, in the mix phase.
 
 Every phase is timed: the mix in ``preprocess_ms``, the initial guess and
 the finalisation (unmixing plus final error) as one-entry ``"init"`` and
@@ -59,7 +76,7 @@ from .embeddings import (
     subsample_mode,
     unmix_factor,
 )
-from .tensor import as_tensor, matricize, multi_mode_multiply, norm
+from .tensor import as_tensor, inner, matricize, multi_mode_multiply, norm
 from .tucker import TuckerDecomposition, reconstruct
 
 __all__ = [
@@ -77,6 +94,8 @@ RANDOMIZED = ("hooi-re", "hooi-re-star")
 STAGES = ("embed_generate", "embed_apply", "factor_update", "core_update")
 
 _PINV_RCOND = 1e-12
+# below this share of ||Xw||^2 the expanded residual is rounding noise
+_CANCELLATION = 1e-6
 
 
 @dataclass
@@ -160,8 +179,23 @@ def _fix_sign(U: np.ndarray) -> np.ndarray:
     return U * flips
 
 
+def _complete_basis(U: np.ndarray, r: int) -> np.ndarray:
+    """Extend orthonormal columns to ``r`` of them, one at a time, by the
+    coordinate vector the current span covers least, orthogonalised
+    against it twice."""
+    while U.shape[1] < r:
+        i = int(np.argmin(np.einsum("ij,ij->i", U, U)))
+        v = -(U @ U[i])
+        v[i] += 1.0
+        v -= U @ (U.T @ v)
+        U = np.column_stack([U, v / np.linalg.norm(v)])
+    return U
+
+
 def _leading_left_vectors(M: np.ndarray, r: int) -> np.ndarray:
     U = np.linalg.svd(M, full_matrices=False)[0][:, :r]
+    if U.shape[1] < r:  # fewer columns than the rank: no more singular vectors
+        U = _complete_basis(U, r)
     return _fix_sign(U)
 
 
@@ -182,6 +216,16 @@ def _core(data: np.ndarray, factors: list[np.ndarray], least_squares: bool) -> n
     if least_squares:
         return multi_mode_multiply(data, [np.linalg.pinv(f, rcond=_PINV_RCOND) for f in factors])
     return multi_mode_multiply(data, [f.T for f in factors])
+
+
+def _residual(Xw: np.ndarray, x_norm: float, core, factors, proj) -> float:
+    """``||Xw - core x_k factors_k||`` for orthonormal factors, given
+    ``x_norm = ||Xw||`` and the projection ``proj = Xw x_k factors_k^T``,
+    without a reconstruction unless the expansion cancels."""
+    sq = x_norm**2 - 2.0 * inner(proj, core) + norm(core) ** 2
+    if sq < _CANCELLATION * x_norm**2:
+        return reconstruction_error(Xw, TuckerDecomposition(core, factors))
+    return float(np.sqrt(sq))
 
 
 def _draw_samples(seed: int, it: int, shape, sizes: dict[int, int]) -> dict[int, np.ndarray]:
@@ -269,6 +313,9 @@ def _run(X: np.ndarray, config: DecomposerConfig):
     with _timed(run, "mix"):
         ops = make_mix_operators(X.shape, modes, config.seed)
         Xw = mix(X, ops)
+        x_norm = norm(Xw)
+    if x_norm == 0.0:
+        raise ValueError("cannot decompose a zero tensor (fit undefined)")
     with _timed(run, "init"):
         factors, core = _initial_guess(Xw, config, _draw_samples(config.seed, 0, X.shape, sizes), scales)
 
@@ -293,7 +340,10 @@ def _run(X: np.ndarray, config: DecomposerConfig):
         with _timed(ms, "core_update"):
             fitted = _sketched_factors(factors, core_samples, scales)
             core = _core(data, fitted, bool(core_samples))
-            fit = 1.0 - norm(data - multi_mode_multiply(core, fitted)) / norm(data)
+            if core_samples:  # sketched factors are not orthonormal: dense fit
+                fit = 1.0 - norm(data - multi_mode_multiply(core, fitted)) / norm(data)
+            else:  # a projected core is its own projection P
+                fit = 1.0 - _residual(Xw, x_norm, core, factors, core) / x_norm
         for name in STAGES:
             stage[name].append(ms[name])
         fit_trace.append(fit)
@@ -302,11 +352,12 @@ def _run(X: np.ndarray, config: DecomposerConfig):
         fit_prev = fit
 
     with _timed(run, "finalize"):
+        proj = _core(Xw, factors, False) if config.method == "hooi-re" else core
+        final_error = _residual(Xw, x_norm, core, factors, proj)
+        if not fit_trace:  # no sweep: report the fit of the initial guess
+            fit_trace.append(1.0 - final_error / x_norm)
         factors = [unmix_factor(f, ops, j) for j, f in enumerate(factors)]
         T = TuckerDecomposition(core, factors, orthogonal=True)
-        final_error = reconstruction_error(X, T)
-        if not fit_trace:  # no sweep: report the fit of the initial guess
-            fit_trace.append(1.0 - final_error / norm(X))
     report = RunReport(
         method=config.method,
         ranks=tuple(config.ranks),
@@ -326,6 +377,4 @@ def decompose(X, config: DecomposerConfig):
     X = as_tensor(X)
     config.validate(X.shape)
     _require_finite(X)
-    if norm(X) == 0.0:
-        raise ValueError("cannot decompose a zero tensor (fit undefined)")
     return _run(X, config)

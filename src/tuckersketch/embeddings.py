@@ -94,12 +94,16 @@ def sample_size(dr: float, n: int) -> int:
     return max(1, int(np.floor(dr * n + 0.5)))
 
 
-def _sign_dct(X: np.ndarray, signs: np.ndarray, mode: int) -> np.ndarray:
+def _sign_dct(X: np.ndarray, signs: np.ndarray, mode: int, in_place: bool = False) -> np.ndarray:
     """Sign flip then orthonormal DCT-II along ``mode``: the mixing step
-    shared by the SRFT and by :func:`mix`."""
+    shared by the SRFT and by :func:`mix`.  ``in_place`` overwrites ``X``
+    instead of allocating the flipped and transformed copies."""
     shape = [1] * X.ndim
     shape[mode] = -1
-    return scipy.fft.dct(X * signs.reshape(shape), type=2, axis=mode, norm="ortho")
+    if not in_place:
+        return scipy.fft.dct(X * signs.reshape(shape), type=2, axis=mode, norm="ortho")
+    X *= signs.reshape(shape)
+    return scipy.fft.dct(X, type=2, axis=mode, norm="ortho", overwrite_x=True)
 
 
 def apply_embedding(E: Embedding, X, mode: int = 0) -> np.ndarray:
@@ -127,7 +131,9 @@ def embedding_matrix(E: Embedding) -> np.ndarray:
 
 def subsample_mode(X, rows: np.ndarray, scale: float, mode: int) -> np.ndarray:
     """Implicit application of scaled row sampling along one tensor mode."""
-    return np.take(as_tensor(X), rows, axis=mode) * scale
+    out = np.take(as_tensor(X), rows, axis=mode)
+    out *= scale
+    return out
 
 
 @dataclass(frozen=True)
@@ -150,14 +156,23 @@ def make_mix_operators(shape, modes, seed: int) -> MixOperators:
 
 
 def mix(X, ops: MixOperators) -> np.ndarray:
-    """Mix a tensor along every mode the operators cover (norm preserving)."""
+    """Mix a tensor along every mode the operators cover (norm preserving).
+
+    The result is one C-ordered working copy, flipped and transformed in
+    place mode by mode; ``X`` itself is never written, and it is returned
+    as is when the operators cover no mode.
+    """
     X = as_tensor(X)
     if X.shape != ops.shape:
         raise ValueError(f"tensor shape {X.shape} does not match operators {ops.shape}")
-    out = X
+    if all(signs is None for signs in ops.signs):
+        return X
+    # C order: the row takes and mode products downstream are several
+    # times slower on a first-index-fastest copy
+    out = np.array(X, order="C")
     for j, signs in enumerate(ops.signs):
         if signs is not None:
-            out = _sign_dct(out, signs, j)
+            out = _sign_dct(out, signs, j, in_place=True)
     return out
 
 

@@ -54,8 +54,14 @@ def test_bench_config_validation():
         run_bench(X, BenchConfig(methods=(), ranks=(2,)))
     with pytest.raises(ValueError):
         run_bench(X, BenchConfig(methods=("hooi", "bogus"), ranks=(2,)))
-    with pytest.raises(ValueError):
+    with pytest.raises(ValueError, match=r"rank 9 for mode 0 must be in \[1, 6\]"):
         run_bench(X, BenchConfig(methods=("hooi",), ranks=(9,)))
+    # a non-integer rank used to give NaN rows, one per run, instead of an error
+    for R in (2.5, 2.0, "2"):
+        with pytest.raises(ValueError, match="must be an integer"):
+            run_bench(X, BenchConfig(methods=("hooi",), ranks=(R,), reps=3))
+    with pytest.raises(ValueError, match="must be in"):
+        run_bench(X, BenchConfig(methods=("hooi",), ranks=(0,)))
     with pytest.raises(ValueError):
         # randomized method with an empty dr grid is a config error
         run_bench(X, BenchConfig(methods=("hooi-re",), ranks=(2,), dr_grid=()))

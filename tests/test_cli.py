@@ -5,6 +5,7 @@ import json
 import numpy as np
 import pytest
 
+from tuckersketch import bounds
 from tuckersketch.bench import read_rows, synth_tensor
 from tuckersketch.cli import main
 from tuckersketch.decompose import DecomposerConfig, decompose, reconstruction_error
@@ -144,6 +145,25 @@ def test_verify_rejects_bound_flag_the_suite_does_not_take(suite, flag, capsys):
     captured = capsys.readouterr()
     assert captured.out == ""
     assert f"{flag} does not apply to suite {suite}" in captured.err
+
+
+def test_verify_family_flag_reaches_the_suite(tmp_path):
+    out = tmp_path / "th4.json"
+    assert main(["verify", "--suite", "th4", "--family", "srft", "--trials", "5",
+                 "--out", str(out)]) == 0
+    library = bounds.run_th4_suite(trials=5, seed=1, family="srft")
+    assert json.loads(out.read_text()) == json.loads(json.dumps(library.to_dict()))
+    assert library.details["family"] == "srft"
+    # unset, the suite keeps its own default family
+    assert main(["verify", "--suite", "th4", "--trials", "5", "--out", str(out)]) == 0
+    assert json.loads(out.read_text())["details"]["family"] == "gaussian"
+
+
+def test_verify_lemma21_rejects_family(capsys):
+    assert main(["verify", "--suite", "lemma21", "--trials", "5", "--family", "srft"]) == 1
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert "--family does not apply to suite lemma21" in captured.err
 
 
 def test_verify_unknown_suite_is_usage_error():

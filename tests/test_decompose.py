@@ -1,5 +1,7 @@
+import importlib
 import json
 import time
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -249,3 +251,75 @@ def test_non_finite_input_rejected_before_any_factorisation(bad):
     for method in ("hosvd", "hooi", "hooi-re", "hooi-re-star"):
         with pytest.raises(ValueError, match="must be finite"):
             decompose(X, DecomposerConfig(ranks=(2, 2, 2), method=method, dr=0.5))
+
+
+def test_factors_have_the_requested_rank_beyond_the_unfolding_width():
+    # a rank above the column count of the (sketched) unfolding used to
+    # come back as narrower factors and a smaller core
+    X = np.random.default_rng(0).standard_normal((50, 3, 3))
+    for T in (hosvd(X, (12, 3, 3)), decompose(X, DecomposerConfig(ranks=(12, 3, 3)))[0]):
+        assert [f.shape for f in T.factors] == [(50, 12), (3, 3), (3, 3)]
+        assert T.core.shape == (12, 3, 3)
+        assert np.max(np.abs(T.factors[0].T @ T.factors[0] - np.eye(12))) <= 1e-12
+        assert reconstruction_error(X, T) <= 1e-10 * norm(X)
+    Y = synth_tensor((40, 40, 40), (20, 20, 20), 0.05, 1)
+    for method in ("hooi-re", "hooi-re-star"):
+        T, report = decompose(Y, DecomposerConfig(ranks=(20, 20, 20), method=method, dr=0.1, seed=0))
+        assert [f.shape for f in T.factors] == [(40, 20)] * 3 and T.orthogonal
+        assert np.isfinite(report.final_error)
+
+
+# the package's ``decompose`` attribute is the function, not the module
+decompose_module = importlib.import_module("tuckersketch.decompose")
+
+
+def _count_dense_residuals(monkeypatch) -> list:
+    """Record the shape of every dense residual the solver falls back to."""
+    calls = []
+    dense = decompose_module.reconstruction_error
+
+    def counted(X, T):
+        calls.append(X.shape)
+        return dense(X, T)
+
+    monkeypatch.setattr(decompose_module, "reconstruction_error", counted)
+    return calls
+
+
+@pytest.mark.parametrize("method", ["hosvd", "hooi", "hooi-re", "hooi-re-star"])
+@pytest.mark.parametrize("noise", [0.3, 1e-2, 1e-4])
+def test_final_error_from_the_core_matches_the_dense_error(method, noise, monkeypatch):
+    # ||X||^2 - 2<P, G> + ||G||^2 stands in for a reconstruction while the
+    # residual is well above rounding noise
+    X = noisy_tensor((40, 40, 40), (2, 2, 2), noise, 25)
+    calls = _count_dense_residuals(monkeypatch)
+    T, report = decompose(X, DecomposerConfig(ranks=(2, 2, 2), method=method, dr=0.5, seed=2))
+    assert calls == []
+    dense = norm(X - reconstruct(T))
+    assert report.final_error == pytest.approx(dense, rel=1e-10)
+
+
+@pytest.mark.parametrize("method", ["hosvd", "hooi", "hooi-re", "hooi-re-star"])
+def test_near_exact_recovery_takes_the_dense_residual(method, monkeypatch):
+    # there the expansion cancels to rounding noise: full ranks for hosvd,
+    # the exact rank of a noise-free tensor for the iterative methods
+    if method == "hosvd":
+        X, ranks = np.random.default_rng(6).standard_normal((6, 5, 4)), (6, 5, 4)
+    else:
+        X, ranks = synth_tensor((20, 20, 20), (3, 3, 3), 0.0, 26), (3, 3, 3)
+    calls = _count_dense_residuals(monkeypatch)
+    T, report = decompose(X, DecomposerConfig(ranks=ranks, method=method, dr=0.5, seed=2))
+    assert calls and set(calls) == {X.shape}
+    assert abs(report.final_error - norm(X - reconstruct(T))) <= 1e-13 * norm(X)
+
+
+def test_sketched_run_keeps_one_working_copy():
+    X = np.asfortranarray(noisy_tensor((64, 64, 64), (4, 4, 4), 0.05, 27))
+    config = DecomposerConfig(ranks=(4, 4, 4), method="hooi-re", dr=0.3, seed=1)
+    tracemalloc.start()
+    try:
+        decompose(X, config)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak <= 2.0 * X.nbytes

@@ -161,14 +161,21 @@ def test_mix_matches_dense_mode_products(modes):
     X = gen.standard_normal((5, 6, 4))
     ops = make_mix_operators(X.shape, modes, seed=11)
     dense = [None if s is None else dct_matrix(len(s)) * s[None, :] for s in ops.signs]
-    assert np.allclose(mix(X, ops), multi_mode_multiply(X, dense), atol=1e-13)
+    expected = multi_mode_multiply(X, dense)
+    for Y in (X, np.asfortranarray(X)):
+        before = Y.copy()
+        out = mix(Y, ops)
+        assert np.allclose(out, expected, atol=1e-13)
+        # one C-ordered working copy, mixed in place; the input is not written
+        assert out.flags.c_contiguous and not np.shares_memory(out, Y)
+        assert np.array_equal(Y, before)
 
 
 def test_mix_with_no_modes_is_identity():
     gen = np.random.default_rng(7)
     X = gen.standard_normal((4, 4))
     ops = make_mix_operators(X.shape, (), seed=0)
-    assert np.array_equal(mix(X, ops), X)
+    assert mix(X, ops) is X
 
 
 def test_is_eps_jl_orthogonal_map_passes_with_zero_distortion():
