@@ -73,7 +73,6 @@ from .embeddings import (
     make_mix_operators,
     mix,
     sample_size,
-    subsample_mode,
     unmix_factor,
 )
 from .tensor import as_tensor, inner, matricize, multi_mode_multiply, norm
@@ -193,7 +192,10 @@ def _complete_basis(U: np.ndarray, r: int) -> np.ndarray:
 
 
 def _leading_left_vectors(M: np.ndarray, r: int) -> np.ndarray:
-    U = np.linalg.svd(M, full_matrices=False)[0][:, :r]
+    """Leading ``r`` left singular vectors of ``M``, from the triangle of an
+    R-only QR of ``M^T`` (Chan's R-SVD): no Q and no V^T of ``M`` is formed."""
+    R = np.linalg.qr(M.T, mode="r")
+    U = np.linalg.svd(R.T, full_matrices=False)[0][:, :r]
     if U.shape[1] < r:  # fewer columns than the rank: no more singular vectors
         U = _complete_basis(U, r)
     return _fix_sign(U)
@@ -233,24 +235,19 @@ def _draw_samples(seed: int, it: int, shape, sizes: dict[int, int]) -> dict[int,
     return {j: draw_sample_rows(rng.stream(seed, rng.SAMPLE, it, j), shape[j], m) for j, m in sizes.items()}
 
 
-def _sketch(X: np.ndarray, samples, scales, skip: int | None = None) -> np.ndarray:
-    """Scaled row sampling of ``X`` along every compressed mode but ``skip``."""
+def _sketch(X: np.ndarray, samples, skip: int | None = None) -> np.ndarray:
+    """Row sampling of ``X`` along every compressed mode but ``skip``, with
+    no sqrt(n/m) scale: the solver's factors, cores and fits are scale-free."""
     for k, rows in samples.items():
         if k != skip:
-            X = subsample_mode(X, rows, scales[k], k)
+            X = np.take(X, rows, axis=k)
     return X
 
 
-def _sketched_factors(factors, samples, scales) -> list[np.ndarray]:
+def _sketched_factors(factors, samples) -> list[np.ndarray]:
     """The factors as the sketched data sees them: compressed modes keep
-    their sampled, scaled rows."""
-    return [scales[k] * f[samples[k], :] if k in samples else f for k, f in enumerate(factors)]
-
-
-def _require_finite(X: np.ndarray) -> None:
-    # LAPACK hangs or fails to converge on inf/nan entries
-    if not np.isfinite(X).all():
-        raise ValueError("input tensor must be finite (found inf or nan entries)")
+    their sampled rows."""
+    return [f[samples[k], :] if k in samples else f for k, f in enumerate(factors)]
 
 
 @contextmanager
@@ -261,16 +258,17 @@ def _timed(times: dict[str, float], key: str):
     times[key] = times.get(key, 0.0) + (time.perf_counter() - t0) * 1e3
 
 
-def _initial_guess(Xw: np.ndarray, config: DecomposerConfig, samples, scales):
+def _initial_guess(Xw: np.ndarray, config: DecomposerConfig, samples):
     """Starting factors and core on the (possibly mixed) working tensor.
 
     ``samples`` are the iteration-0 row samples of the compressed modes
     (none when nothing is compressed, which makes this the truncated
     HOSVD).  The default sketches the working tensor along the other
-    modes before each factor SVD, so initialisation costs no more than
-    one sweep; the core starts from the same least-squares problem the
-    first sweep will solve.  ``init="random"`` draws orthonormal bases
-    instead, except for ``hosvd``, which is the default init by definition.
+    modes, then takes each factor from one R-only QR of the (sketched)
+    mode-j unfolding's transpose plus the SVD of its n_j x n_j triangle;
+    the core starts from the same least-squares problem the first sweep
+    will solve.  ``init="random"`` draws orthonormal bases instead,
+    except for ``hosvd``, which is the default init by definition.
     """
     if config.init == "random" and config.method != "hosvd":
         factors = []
@@ -279,10 +277,10 @@ def _initial_guess(Xw: np.ndarray, config: DecomposerConfig, samples, scales):
             factors.append(_fix_sign(np.linalg.qr(G)[0]))
     else:
         factors = [
-            _leading_left_vectors(matricize(_sketch(Xw, samples, scales, skip=j), j), r)
+            _leading_left_vectors(matricize(_sketch(Xw, samples, skip=j), j), r)
             for j, r in enumerate(config.ranks)
         ]
-    core = _core(_sketch(Xw, samples, scales), _sketched_factors(factors, samples, scales), bool(samples))
+    core = _core(_sketch(Xw, samples), _sketched_factors(factors, samples), bool(samples))
     return factors, core
 
 
@@ -292,12 +290,7 @@ def hosvd(X, ranks) -> TuckerDecomposition:
     Factor j holds the leading left singular vectors of the mode-j
     unfolding; the core is the projection of ``X`` onto those bases.
     """
-    X = as_tensor(X)
-    config = DecomposerConfig(ranks=tuple(ranks), method="hosvd")
-    config.validate(X.shape)
-    _require_finite(X)
-    factors, core = _initial_guess(X, config, {}, {})
-    return TuckerDecomposition(core, factors, orthogonal=True)
+    return decompose(X, DecomposerConfig(ranks=tuple(ranks), method="hosvd"))[0]
 
 
 def _run(X: np.ndarray, config: DecomposerConfig):
@@ -306,7 +299,6 @@ def _run(X: np.ndarray, config: DecomposerConfig):
     randomized = config.method in RANDOMIZED
     modes = config.resolved_compress_modes(q) if randomized else ()
     sizes = {j: sample_size(config.dr, X.shape[j]) for j in modes}
-    scales = {j: float(np.sqrt(X.shape[j] / sizes[j])) for j in modes}
     sweeps = 0 if config.method == "hosvd" else config.max_iters
     run: dict[str, float] = {}
 
@@ -314,10 +306,13 @@ def _run(X: np.ndarray, config: DecomposerConfig):
         ops = make_mix_operators(X.shape, modes, config.seed)
         Xw = mix(X, ops)
         x_norm = norm(Xw)
+    # an inf or nan entry makes the norm non-finite (LAPACK hangs on one)
+    if not np.isfinite(x_norm) and not np.isfinite(X).all():
+        raise ValueError("input tensor must be finite (found inf or nan entries)")
     if x_norm == 0.0:
         raise ValueError("cannot decompose a zero tensor (fit undefined)")
     with _timed(run, "init"):
-        factors, core = _initial_guess(Xw, config, _draw_samples(config.seed, 0, X.shape, sizes), scales)
+        factors, core = _initial_guess(Xw, config, _draw_samples(config.seed, 0, X.shape, sizes))
 
     stage: dict[str, list[float]] = {name: [] for name in STAGES}
     fit_trace: list[float] = []
@@ -328,17 +323,17 @@ def _run(X: np.ndarray, config: DecomposerConfig):
             samples = _draw_samples(config.seed, it, X.shape, sizes)
         for j in range(q):
             with _timed(ms, "embed_apply"):
-                Xj = _sketch(Xw, samples, scales, skip=j)
+                Xj = _sketch(Xw, samples, skip=j)
             with _timed(ms, "factor_update"):
-                sketched = _sketched_factors(factors, samples, scales)
+                sketched = _sketched_factors(factors, samples)
                 W = multi_mode_multiply(Xj, [None if k == j else S.T for k, S in enumerate(sketched)])
                 factors[j] = _polar_factor(matricize(W, j) @ matricize(core, j).T)
         # hooi-re fits the core to the fully sketched data, the others to Xw
         core_samples = samples if config.method == "hooi-re" else {}
         with _timed(ms, "embed_apply"):
-            data = _sketch(Xw, core_samples, scales)
+            data = _sketch(Xw, core_samples)
         with _timed(ms, "core_update"):
-            fitted = _sketched_factors(factors, core_samples, scales)
+            fitted = _sketched_factors(factors, core_samples)
             core = _core(data, fitted, bool(core_samples))
             if core_samples:  # sketched factors are not orthonormal: dense fit
                 fit = 1.0 - norm(data - multi_mode_multiply(core, fitted)) / norm(data)
@@ -376,5 +371,4 @@ def decompose(X, config: DecomposerConfig):
     """Run the configured solver; returns ``(decomposition, report)``."""
     X = as_tensor(X)
     config.validate(X.shape)
-    _require_finite(X)
     return _run(X, config)

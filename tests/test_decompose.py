@@ -273,6 +273,37 @@ def test_factors_have_the_requested_rank_beyond_the_unfolding_width():
 decompose_module = importlib.import_module("tuckersketch.decompose")
 
 
+def _graded_matrix(shape, sigmas, floor, seed):
+    """A matrix with the given leading singular values over a flat floor."""
+    gen = np.random.default_rng(seed)
+    m, n = shape
+    U = np.linalg.qr(gen.standard_normal((m, m)))[0]
+    V = np.linalg.qr(gen.standard_normal((n, m)))[0]
+    s = np.concatenate([sigmas, np.full(m - len(sigmas), floor)])
+    return (U * s) @ V.T
+
+
+@pytest.mark.parametrize("name", ["wide", "fewer-columns", "graded"])
+def test_init_kernel_matches_the_thin_svd(name):
+    # the init takes its factors from the triangle of an R-only QR; a Gram
+    # eigensolver squares the condition number and misses the graded case
+    # by 5e-3
+    gen = np.random.default_rng(3)
+    M, r = {
+        "wide": (gen.standard_normal((30, 400)), 7),
+        "fewer-columns": (gen.standard_normal((50, 9)), 12),
+        "graded": (_graded_matrix((40, 900), np.logspace(0, -7, 6), 1e-9, 4), 6),
+    }[name]
+    fix_sign = decompose_module._fix_sign
+    U = decompose_module._leading_left_vectors(M, r)
+    k = min(r, M.shape[1])  # beyond the column count the basis is completed
+    ref = fix_sign(np.linalg.svd(M)[0][:, :k])
+    assert U.shape == (M.shape[0], r)
+    assert np.max(np.abs(U.T @ U - np.eye(r))) <= 1e-12
+    assert np.linalg.norm(U[:, :k] - ref @ (ref.T @ U[:, :k]), 2) <= 1e-9
+    assert np.max(np.abs(U[:, :k] - ref)) <= 1e-9
+
+
 def _count_dense_residuals(monkeypatch) -> list:
     """Record the shape of every dense residual the solver falls back to."""
     calls = []
