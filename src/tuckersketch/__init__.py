@@ -19,12 +19,9 @@ from .tucker import (
     psi_matrix,
 )
 from .embeddings import (
-    Embedding,
     MixOperators,
     JLCheck,
     make_embedding,
-    apply_embedding,
-    embedding_matrix,
     make_mix_operators,
     mix,
     unmix_factor,

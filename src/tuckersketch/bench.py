@@ -79,8 +79,12 @@ class BenchConfig:
                 raise ValueError(f"unknown method {m!r}, expected one of {METHODS}")
         if not self.ranks:
             raise ValueError("no ranks selected")
-        for R in self.ranks:  # the solver's own integer and range check
-            DecomposerConfig(ranks=(R,) * len(shape)).validate(shape)
+        # the solver's own rank checks, and its compressed-mode checks
+        # when a randomized method will use them
+        method = next((m for m in self.methods if m in RANDOMIZED), "hooi")
+        for R in self.ranks:
+            DecomposerConfig(ranks=(R,) * len(shape), method=method,
+                             compress_modes=self.compress_modes).validate(shape)
         if self.reps < 1:
             raise ValueError("reps must be at least 1")
         if any(m in RANDOMIZED for m in self.methods) and not self.dr_grid:

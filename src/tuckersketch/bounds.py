@@ -30,7 +30,7 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from . import rng
-from .embeddings import Embedding, apply_embedding, embedding_matrix, is_eps_jl, make_embedding
+from .embeddings import is_eps_jl, make_embedding
 from .tensor import as_tensor, inner, matricize, mode_multiply, multi_mode_multiply, norm
 from .tucker import (
     TuckerDecomposition,
@@ -208,19 +208,19 @@ def pair_vector_set(factor: np.ndarray) -> np.ndarray:
     return np.array(vecs)
 
 
-def check_inner_product_bound(E: Embedding, x, y, eps: float) -> BoundReport:
+def check_inner_product_bound(A: np.ndarray, x, y, eps: float) -> BoundReport:
     """Inner-product preservation implied by low distortion of x+y, x-y.
 
-    Hypothesis: the embedding distorts ``{x+y, x-y}`` by less than eps.
+    Hypothesis: the embedding matrix A distorts ``{x+y, x-y}`` by less than eps.
     Conclusion: ``|<Ax, Ay> - <x, y>| <= (eps/2) (||x||^2 + ||y||^2)``.
     A draw that fails the hypothesis is discarded, not failed.
     """
     x = as_tensor(x)
     y = as_tensor(y)
-    hyp = is_eps_jl(E, np.array([x + y, x - y]), eps)
+    hyp = is_eps_jl(A, np.array([x + y, x - y]), eps)
     if not hyp.ok:
         return BoundReport(name="inner-product", trials=1, failures=0, discarded=1)
-    lhs = abs(float(np.dot(apply_embedding(E, x), apply_embedding(E, y))) - float(np.dot(x, y)))
+    lhs = abs(float(np.dot(A @ x, A @ y)) - float(np.dot(x, y)))
     rhs = 0.5 * eps * (float(np.dot(x, x)) + float(np.dot(y, y)))
     violated = lhs > rhs + _FP_SLACK * (1.0 + rhs)
     return BoundReport(
@@ -233,10 +233,10 @@ def check_inner_product_bound(E: Embedding, x, y, eps: float) -> BoundReport:
     )
 
 
-def check_prop1(T: TuckerDecomposition, E: Embedding, mode: int, eps: float) -> BoundReport:
+def check_prop1(T: TuckerDecomposition, A: np.ndarray, mode: int, eps: float) -> BoundReport:
     """Single-mode perturbation bounds for an orthogonal decomposition.
 
-    Hypothesis: the embedding distorts the mode's columns and their
+    Hypothesis: the embedding matrix A distorts the mode's columns and their
     pairwise sums/differences by less than eps.  Conclusions checked on
     hypothesis-satisfying draws:
 
@@ -256,11 +256,10 @@ def check_prop1(T: TuckerDecomposition, E: Embedding, mode: int, eps: float) -> 
         raise ValueError("perturbation bounds assume orthonormal factors")
     if not 0 <= mode < T.order:
         raise ValueError(f"mode {mode} out of range")
-    hyp = is_eps_jl(E, pair_vector_set(T.factors[mode]), eps)
+    hyp = is_eps_jl(A, pair_vector_set(T.factors[mode]), eps)
     if not hyp.ok:
         return BoundReport(name="mode-perturbation", trials=1, failures=0, discarded=1)
 
-    A = embedding_matrix(E)
     mapped = apply_mode_map(T, A, mode)
 
     core_dev = np.abs(mapped.core - T.core)
@@ -340,8 +339,8 @@ def _tail_report(
     )
 
 
-def _trial_embeddings(params: BoundParams, family: str, gen: np.random.Generator) -> list[Embedding]:
-    """Fresh per-mode embeddings at the configured sizes, drawn from ``gen`` in mode order."""
+def _trial_embeddings(params: BoundParams, family: str, gen: np.random.Generator) -> list[np.ndarray]:
+    """Fresh per-mode embedding matrices at the configured sizes, drawn from ``gen`` in mode order."""
     return [make_embedding(family, n, m, gen) for n, m in zip(params.dims, params.embed_dims)]
 
 
@@ -364,7 +363,7 @@ def check_multimode_distortion(params: BoundParams, family: str = "gaussian") ->
     def distortion(t: int) -> float:
         gen = rng.stream(params.seed, rng.TRIAL, t)
         T = random_orthogonal_tucker(params.dims, params.ranks, gen)
-        embedded = [apply_embedding(E, F) for E, F in zip(_trial_embeddings(params, family, gen), T.factors)]
+        embedded = [E @ F for E, F in zip(_trial_embeddings(params, family, gen), T.factors)]
         sq = _sq_norm_on_core(T.core, T.factors)
         return abs(_sq_norm_on_core(T.core, embedded) - sq) / sq
 
@@ -448,13 +447,11 @@ def check_residual_distortion(
         gen = rng.stream(params.seed, rng.TRIAL, t)
         embeds = _trial_embeddings(params, family, gen)
         cands = np.linalg.qr(gen.standard_normal((samples, n, r)))[0]
-        LX = X
-        for j, E in enumerate(embeds):
-            LX = apply_embedding(E, LX, j)
-        embedded = [apply_embedding(E, f) for E, f in zip(embeds, factors)]
+        LX = multi_mode_multiply(X, embeds)
+        embedded = [E @ f for E, f in zip(embeds, factors)]
         LW = psi_matrix(core, embedded, mode)
         # linearity: the embedded candidate has free factor E_mode A
-        lcands = apply_embedding(embeds[mode], cands, 1)
+        lcands = embeds[mode] @ cands
         sq = _sq_residuals(split, cands)
         lsq = _sq_residuals(_residual_split(matricize(LX, mode), LW), lcands)
         keep = sq != 0.0

@@ -126,6 +126,8 @@ class DecomposerConfig:
                 raise ValueError(f"rank {r!r} for mode {j} must be an integer")
             if not 1 <= r <= n:
                 raise ValueError(f"rank {r} for mode {j} must be in [1, {n}]")
+        if not isinstance(self.max_iters, (int, np.integer)):
+            raise ValueError(f"max_iters {self.max_iters!r} must be an integer")
         if self.max_iters < 1:
             raise ValueError("max_iters must be at least 1")
         if self.method in RANDOMIZED:
@@ -369,6 +371,8 @@ def _run(X: np.ndarray, config: DecomposerConfig):
 
 def decompose(X, config: DecomposerConfig):
     """Run the configured solver; returns ``(decomposition, report)``."""
+    if np.iscomplexobj(X):
+        raise ValueError("input tensor must be real (found complex values)")
     X = as_tensor(X)
     config.validate(X.shape)
     return _run(X, config)

@@ -2,71 +2,50 @@
 
 Two embedding families, each drawn from a caller-supplied generator:
 
-* ``srft``: scaled row sampling of an orthogonally mixed input,
-  ``A = sqrt(n/m) * S F D`` where D is a diagonal Rademacher matrix, F
-  the orthonormal DCT-II and S uniform row sampling without replacement.
-  The sqrt(n/m) factor makes ``||A x||^2`` unbiased for ``||x||^2``; with
-  m == n the map is exactly orthogonal.  S is never materialised as a
-  matrix, application subsets rows of the mixed input.
+* ``srft``: ``A = sqrt(n/m) * S F D`` where D is a diagonal Rademacher
+  matrix, F the orthonormal DCT-II and S uniform row sampling without
+  replacement.  The sqrt(n/m) factor makes ``||A x||^2`` unbiased for
+  ``||x||^2``; with m == n the map is exactly orthogonal.
 * ``gaussian``: i.i.d. N(0, 1/m) entries.
 
+:func:`make_embedding` returns the m-by-n matrix A; an embedding is
+applied by matrix or mode products.  An SRFT's rows are built from m
+inverse DCTs, so no n-by-n array is formed.
+
 The mixing half (F, D per mode) is split out into :class:`MixOperators`
-so iterative solvers can mix their data once and redraw only the
-sampling part each sweep.
+so iterative solvers can mix their data once, by fast transforms, and
+redraw only the sampling part each sweep.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from functools import lru_cache
 
 import numpy as np
 import scipy.fft
 
 from . import rng
-from .tensor import as_tensor, mode_multiply
+from .tensor import as_tensor
 
 __all__ = [
-    "Embedding",
     "MixOperators",
     "JLCheck",
     "make_embedding",
-    "apply_embedding",
-    "embedding_matrix",
-    "dct_matrix",
     "make_mix_operators",
     "mix",
     "unmix_factor",
     "draw_sample_rows",
-    "subsample_mode",
     "sample_size",
     "is_eps_jl",
 ]
 
 FAMILIES = ("srft", "gaussian")
 
-@lru_cache(maxsize=32)
-def dct_matrix(n: int) -> np.ndarray:
-    """Orthonormal DCT-II matrix of size n (explicit, for oracle paths)."""
-    return scipy.fft.dct(np.eye(n), type=2, axis=0, norm="ortho")
 
-
-@dataclass(frozen=True)
-class Embedding:
-    """An m-by-n norm-preserving map, as drawn by :func:`make_embedding`."""
-
-    kind: str
-    n: int
-    m: int
-    sample_rows: np.ndarray | None = None
-    signs: np.ndarray | None = None
-    scale: float = 1.0
-    matrix: np.ndarray | None = None
-
-
-def make_embedding(kind: str, n: int, m: int, gen: np.random.Generator) -> Embedding:
-    """Draw an embedding of the given family from ``gen``: an SRFT draws its
-    n signs, then its m rows; a Gaussian map draws its m-by-n matrix."""
+def make_embedding(kind: str, n: int, m: int, gen: np.random.Generator) -> np.ndarray:
+    """Draw the m-by-n matrix of an embedding of the given family from
+    ``gen``: an SRFT draws its n signs, then its m rows; a Gaussian map
+    draws its matrix."""
     if kind not in FAMILIES:
         raise ValueError(f"unknown embedding family {kind!r}, expected one of {FAMILIES}")
     if m < 1 or n < 1:
@@ -76,8 +55,13 @@ def make_embedding(kind: str, n: int, m: int, gen: np.random.Generator) -> Embed
             raise ValueError(f"srft requires m <= n, got m={m}, n={n}")
         signs = gen.integers(0, 2, size=n) * 2.0 - 1.0
         rows = draw_sample_rows(gen, n, m)
-        return Embedding(kind, n, m, sample_rows=rows, signs=signs, scale=float(np.sqrt(n / m)))
-    return Embedding(kind, n, m, matrix=gen.standard_normal((m, n)) / np.sqrt(m))
+        # row i of F is the inverse DCT of the unit vector e_i
+        A = np.zeros((m, n))
+        A[np.arange(m), rows] = 1.0
+        A = scipy.fft.idct(A, type=2, axis=1, norm="ortho", overwrite_x=True)
+        A *= np.sqrt(n / m) * signs
+        return A
+    return gen.standard_normal((m, n)) / np.sqrt(m)
 
 
 def draw_sample_rows(gen: np.random.Generator, n: int, m: int) -> np.ndarray:
@@ -92,48 +76,6 @@ def sample_size(dr: float, n: int) -> int:
     if not 0.0 < dr <= 1.0:
         raise ValueError(f"dimension-reduction ratio must be in (0, 1], got {dr}")
     return max(1, int(np.floor(dr * n + 0.5)))
-
-
-def _sign_dct(X: np.ndarray, signs: np.ndarray, mode: int, in_place: bool = False) -> np.ndarray:
-    """Sign flip then orthonormal DCT-II along ``mode``: the mixing step
-    shared by the SRFT and by :func:`mix`.  ``in_place`` overwrites ``X``
-    instead of allocating the flipped and transformed copies."""
-    shape = [1] * X.ndim
-    shape[mode] = -1
-    if not in_place:
-        return scipy.fft.dct(X * signs.reshape(shape), type=2, axis=mode, norm="ortho")
-    X *= signs.reshape(shape)
-    return scipy.fft.dct(X, type=2, axis=mode, norm="ortho", overwrite_x=True)
-
-
-def apply_embedding(E: Embedding, X, mode: int = 0) -> np.ndarray:
-    """Apply the embedding along one mode of a tensor; the default mode 0
-    maps a vector, or each column of a matrix of stacked columns.
-
-    An SRFT mixes the mode (sign flip, DCT) and keeps its sampled rows
-    through :func:`subsample_mode`; a Gaussian map is one mode product.
-    Neither unfolds the tensor.
-    """
-    X = as_tensor(X)
-    if not 0 <= mode < X.ndim or X.shape[mode] != E.n:
-        raise ValueError(f"mode {mode} of a tensor of shape {X.shape} does not have size {E.n}")
-    if E.kind == "srft":
-        return subsample_mode(_sign_dct(X, E.signs, mode), E.sample_rows, E.scale, mode)
-    return mode_multiply(X, E.matrix, mode)
-
-
-def embedding_matrix(E: Embedding) -> np.ndarray:
-    """Explicit dense matrix of the embedding (oracle path)."""
-    if E.kind == "srft":
-        return E.scale * (dct_matrix(E.n) * E.signs[None, :])[E.sample_rows, :]
-    return E.matrix
-
-
-def subsample_mode(X, rows: np.ndarray, scale: float, mode: int) -> np.ndarray:
-    """Implicit application of scaled row sampling along one tensor mode."""
-    out = np.take(as_tensor(X), rows, axis=mode)
-    out *= scale
-    return out
 
 
 @dataclass(frozen=True)
@@ -172,7 +114,10 @@ def mix(X, ops: MixOperators) -> np.ndarray:
     out = np.array(X, order="C")
     for j, signs in enumerate(ops.signs):
         if signs is not None:
-            out = _sign_dct(out, signs, j, in_place=True)
+            shape = [1] * out.ndim
+            shape[j] = -1
+            out *= signs.reshape(shape)
+            out = scipy.fft.dct(out, type=2, axis=j, norm="ortho", overwrite_x=True)
     return out
 
 
@@ -200,8 +145,9 @@ class JLCheck:
     ok: bool = True
 
 
-def is_eps_jl(E: Embedding, vectors, eps: float) -> JLCheck:
-    """Check ``| ||A x||^2 / ||x||^2 - 1 | < eps`` for every given vector.
+def is_eps_jl(A: np.ndarray, vectors, eps: float) -> JLCheck:
+    """Check ``| ||A x||^2 / ||x||^2 - 1 | < eps`` for every given vector
+    (the rows of ``vectors``) under the embedding matrix ``A``.
 
     Zero vectors pass vacuously (distortion 0).  The comparison is
     strict, matching the open-interval definition of the property.
@@ -209,10 +155,10 @@ def is_eps_jl(E: Embedding, vectors, eps: float) -> JLCheck:
     if eps <= 0:
         raise ValueError(f"eps must be positive, got {eps}")
     V = np.atleast_2d(as_tensor(vectors))
-    if V.shape[1] != E.n:
-        raise ValueError(f"vectors have length {V.shape[1]}, embedding expects {E.n}")
+    if V.shape[1] != A.shape[1]:
+        raise ValueError(f"vectors have length {V.shape[1]}, embedding expects {A.shape[1]}")
     sq = np.sum(V * V, axis=1)
-    mapped = apply_embedding(E, V.T)
+    mapped = A @ V.T
     mapped_sq = np.sum(mapped * mapped, axis=0)
     distortions = np.zeros(len(sq))
     nonzero = sq > 0.0

@@ -84,6 +84,8 @@ def _read(path, magic: bytes, what: str, per_mode: int, counts):
 
 def write_tensor(path, X) -> None:
     """Write a dense tensor to ``path`` in TKR1 format."""
+    if np.iscomplexobj(X):
+        raise ValueError("tensor must be real (found complex values)")
     X = as_tensor(X)
     _write(path, _TENSOR_MAGIC, "tensor", [(n,) for n in X.shape], [X])
 

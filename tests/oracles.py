@@ -7,10 +7,10 @@ dense route: they materialise every tensor and every embedding matrix.
 """
 
 import numpy as np
+import scipy.fft
 
 from tuckersketch import rng
 from tuckersketch.bounds import _trial_embeddings
-from tuckersketch.embeddings import embedding_matrix
 from tuckersketch.tensor import multi_mode_multiply, norm
 from tuckersketch.tucker import TuckerDecomposition, random_orthogonal_tucker, reconstruct
 
@@ -54,9 +54,9 @@ def integer_tensor(gen, shape, low=-4, high=5):
     return gen.integers(low, high, size=shape).astype(np.float64)
 
 
-def _embedding_matrices(params, family, gen):
-    """Dense matrices of a trial's per-mode embeddings, drawn from ``gen`` as the checks draw them."""
-    return [embedding_matrix(E) for E in _trial_embeddings(params, family, gen)]
+def dct_matrix(n):
+    """Explicit orthonormal DCT-II matrix of size n."""
+    return scipy.fft.dct(np.eye(n), type=2, axis=0, norm="ortho")
 
 
 def multimode_distortion_oracle(params, family):
@@ -65,7 +65,7 @@ def multimode_distortion_oracle(params, family):
     for t in range(params.trials):
         gen = rng.stream(params.seed, rng.TRIAL, t)
         T = random_orthogonal_tucker(params.dims, params.ranks, gen)
-        mats = _embedding_matrices(params, family, gen)
+        mats = _trial_embeddings(params, family, gen)
         Y = reconstruct(T)
         sq = norm(Y) ** 2
         out.append(abs(norm(multi_mode_multiply(Y, mats)) ** 2 - sq) / sq)
@@ -77,7 +77,7 @@ def residual_distortion_oracle(X, params, core, factors, mode, family):
     out = []
     for t in range(params.trials):
         gen = rng.stream(params.seed, rng.TRIAL, t)
-        mats = _embedding_matrices(params, family, gen)
+        mats = _trial_embeddings(params, family, gen)
         draws = gen.standard_normal((params.y_samples, params.dims[mode], core.shape[mode]))
         LX = multi_mode_multiply(X, mats)
         worst = 0.0

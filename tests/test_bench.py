@@ -69,6 +69,20 @@ def test_bench_config_validation():
         run_bench(X, BenchConfig(methods=("hooi-re",), ranks=(2,), dr_grid=(1.2,)))
 
 
+@pytest.mark.parametrize("modes", [(0, 0), (3,), ()])
+def test_bench_rejects_compressed_modes_the_solver_rejects(modes):
+    # these used to run every randomized cell into a NaN row
+    X = np.ones((6, 6, 6))
+    for methods in [("hooi-re",), ("hooi", "hooi-re-star")]:
+        with pytest.raises(ValueError, match="compressed mode"):
+            run_bench(X, BenchConfig(methods=methods, ranks=(2,), dr_grid=(0.5,), reps=1,
+                                     compress_modes=modes))
+    # a deterministic sweep never reads them
+    rows, summary = run_bench(X + np.arange(6.0), BenchConfig(methods=("hooi",), ranks=(2,), reps=1,
+                                                             compress_modes=modes))
+    assert len(rows) == 1 and not summary["failed_runs"]
+
+
 def test_bench_deterministic_methods_have_zero_spread():
     X = synth_tensor((10, 10, 10), (2, 2, 2), 0.1, 3)
     rows, summary = run_bench(X, BenchConfig(methods=("hooi",), ranks=(2,), reps=2, seed=1))

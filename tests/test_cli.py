@@ -197,6 +197,17 @@ def test_bench_cli_round_trip_and_reproducible(tmp_path):
     assert json.loads(summary.read_text())["n_rows"] == len(rows1)
 
 
+def test_bench_cli_rejects_duplicate_compressed_modes(tmp_path, capsys):
+    x_path = tmp_path / "x.tkr"
+    write_tensor(x_path, synth_tensor((6, 6, 6), (2, 2, 2), 0.1, 8))
+    out = tmp_path / "run.csv"
+    rc = main(["bench", "--input", str(x_path), "--methods", "hooi,hooi-re", "--ranks", "2",
+               "--dr-grid", "0.5", "--reps", "1", "--compress-modes", "1,1", "--out", str(out)])
+    assert rc == 1
+    assert "duplicate compressed modes" in capsys.readouterr().err
+    assert not out.exists()
+
+
 def test_missing_input_reports_error(tmp_path, capsys):
     rc = main(
         [

@@ -50,6 +50,28 @@ def test_config_validation():
     assert T.ranks == (2, 2, 2)
 
 
+def test_non_integer_max_iters_rejected_by_validation():
+    # 2.5 used to pass validation and raise a TypeError from range()
+    X = noisy_tensor((6, 6, 6), (2, 2, 2), 0.1, 3)
+    for max_iters in (2.5, 2.0, "2"):
+        with pytest.raises(ValueError, match="max_iters .* must be an integer"):
+            decompose(X, DecomposerConfig(ranks=(2, 2, 2), max_iters=max_iters))
+    _, report = decompose(X, DecomposerConfig(ranks=(2, 2, 2), max_iters=np.int64(2), rel_tol=0.0))
+    assert report.iterations == 2
+
+
+def test_complex_input_rejected():
+    # the imaginary part used to be dropped with only a ComplexWarning,
+    # and the real part's fit returned as if it were the answer
+    X = noisy_tensor((6, 6, 6), (2, 2, 2), 0.1, 4)
+    for Z in (X + 1j * X, (X + 0j).tolist()):
+        with pytest.raises(ValueError, match="must be real"):
+            hosvd(Z, (2, 2, 2))
+        for method in ("hosvd", "hooi", "hooi-re", "hooi-re-star"):
+            with pytest.raises(ValueError, match="must be real"):
+                decompose(Z, DecomposerConfig(ranks=(2, 2, 2), method=method, dr=0.5))
+
+
 def test_hosvd_exact_recovery_and_orthogonality():
     X = synth_tensor((12, 10, 11), (3, 2, 4), 0.0, 5)
     T = hosvd(X, (3, 2, 4))

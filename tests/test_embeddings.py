@@ -3,19 +3,17 @@ import pytest
 
 from tuckersketch import rng
 from tuckersketch.embeddings import (
-    apply_embedding,
-    dct_matrix,
     draw_sample_rows,
-    embedding_matrix,
     is_eps_jl,
     make_embedding,
     make_mix_operators,
     mix,
     sample_size,
-    subsample_mode,
     unmix_factor,
 )
-from tuckersketch.tensor import matricize, mode_multiply, multi_mode_multiply, norm
+from tuckersketch.tensor import multi_mode_multiply, norm
+
+from oracles import dct_matrix
 
 
 def test_dct_matrix_is_orthonormal():
@@ -32,39 +30,39 @@ def test_make_embedding_validation():
         make_embedding("gaussian", 8, 0, rng.stream(0))
 
 
-def test_srft_full_sampling_is_orthogonal():
-    gen = np.random.default_rng(0)
-    x = gen.standard_normal(8)
+@pytest.mark.parametrize("n, m", [(8, 3), (17, 17), (64, 24)])
+def test_srft_is_scaled_sampled_rows_of_the_sign_mixed_dct(n, m):
     for seed in (1, 2, 3):
-        E = make_embedding("srft", 8, 8, rng.stream(seed))
-        y = apply_embedding(E, x)
-        assert abs(np.linalg.norm(y) - np.linalg.norm(x)) <= 1e-12 * np.linalg.norm(x)
-        # with M = I the rows are the sign-mixed DCT rows in sampled order
-        A = apply_embedding(E, np.eye(8))
-        assert np.allclose(A, (dct_matrix(8) * E.signs[None, :])[E.sample_rows, :], atol=1e-12)
+        A = make_embedding("srft", n, m, rng.stream(seed))
+        # the draw order: n signs, then m rows
+        gen = rng.stream(seed)
+        signs = gen.integers(0, 2, size=n) * 2.0 - 1.0
+        rows = draw_sample_rows(gen, n, m)
+        assert A.shape == (m, n)
+        assert np.allclose(A, np.sqrt(n / m) * (dct_matrix(n) * signs)[rows], rtol=0, atol=1e-12)
+
+
+def test_srft_full_sampling_is_orthogonal():
+    for seed in (1, 2, 3):
+        A = make_embedding("srft", 12, 12, rng.stream(seed))
+        assert np.max(np.abs(A.T @ A - np.eye(12))) <= 1e-12
+        assert np.max(np.abs(A @ A.T - np.eye(12))) <= 1e-12
+
+
+def test_srft_of_large_n_is_built_row_by_row():
+    # an n-by-n build would need 320 GB here
+    A = make_embedding("srft", 200_000, 3, rng.stream(0))
+    assert A.shape == (3, 200_000)
+    assert np.max(np.abs(A @ A.T - (200_000 / 3) * np.eye(3))) <= 1e-6
 
 
 def test_embedding_determinism_and_seed_sensitivity():
-    a = make_embedding("srft", 16, 8, rng.stream(42))
-    b = make_embedding("srft", 16, 8, rng.stream(42))
-    assert np.array_equal(a.sample_rows, b.sample_rows)
-    assert np.array_equal(a.signs, b.signs)
-    c = make_embedding("srft", 16, 8, rng.stream(43))
-    assert not (np.array_equal(a.sample_rows, c.sample_rows) and np.array_equal(a.signs, c.signs))
-
-    g1 = make_embedding("gaussian", 16, 8, rng.stream(7))
-    g2 = make_embedding("gaussian", 16, 8, rng.stream(7))
-    assert np.array_equal(g1.matrix, g2.matrix)
-
-
-def test_implicit_and_explicit_paths_agree():
-    gen = np.random.default_rng(1)
-    M = gen.standard_normal((64, 5))
     for kind in ("srft", "gaussian"):
-        E = make_embedding(kind, 64, 24, rng.stream(11))
-        fast = apply_embedding(E, M)
-        dense = embedding_matrix(E) @ M
-        assert norm(fast - dense) / norm(dense) <= 1e-12
+        a = make_embedding(kind, 16, 8, rng.stream(42))
+        b = make_embedding(kind, 16, 8, rng.stream(42))
+        assert np.array_equal(a, b)
+        c = make_embedding(kind, 16, 8, rng.stream(43))
+        assert not np.array_equal(a, c)
 
 
 def test_gaussian_norm_unbiasedness_over_seeds():
@@ -72,34 +70,9 @@ def test_gaussian_norm_unbiasedness_over_seeds():
     x = gen.standard_normal(64)
     ratios = []
     for seed in range(2000):
-        E = make_embedding("gaussian", 64, 32, rng.stream(seed))
-        ratios.append(np.sum(apply_embedding(E, x) ** 2) / np.sum(x**2))
+        A = make_embedding("gaussian", 64, 32, rng.stream(seed))
+        ratios.append(np.sum((A @ x) ** 2) / np.sum(x**2))
     assert 0.95 <= np.mean(ratios) <= 1.05
-
-
-def test_apply_embedding_row_mismatch():
-    for kind in ("gaussian", "srft"):
-        E = make_embedding(kind, 8, 4, rng.stream(0))
-        with pytest.raises(ValueError):
-            apply_embedding(E, np.zeros((9, 2)))
-        with pytest.raises(ValueError, match="does not have size 8"):
-            apply_embedding(E, np.zeros((8, 9)), 1)
-        with pytest.raises(ValueError, match="does not have size 8"):
-            apply_embedding(E, np.zeros((8, 9)), 2)
-
-
-def test_apply_embedding_mode_matches_unfolding():
-    gen = np.random.default_rng(3)
-    X = gen.standard_normal((6, 7, 8))
-    for kind in ("srft", "gaussian"):
-        for mode in range(3):
-            E = make_embedding(kind, X.shape[mode], 3, rng.stream(5))
-            Y = apply_embedding(E, X, mode)
-            shape = list(X.shape)
-            shape[mode] = 3
-            assert Y.shape == tuple(shape)
-            assert np.allclose(Y, mode_multiply(X, embedding_matrix(E), mode), atol=1e-13)
-            assert np.allclose(matricize(Y, mode), apply_embedding(E, matricize(X, mode)), atol=1e-13)
 
 
 def test_sample_size_rounds_half_up():
@@ -119,17 +92,6 @@ def test_draw_sample_rows_without_replacement():
     assert sorted(rows.tolist()) == list(range(10))
     with pytest.raises(ValueError):
         draw_sample_rows(gen, 4, 5)
-
-
-def test_subsample_mode_matches_explicit_sampling_matrix():
-    gen = np.random.default_rng(5)
-    X = gen.standard_normal((5, 6, 4))
-    rows = np.array([4, 1, 3])
-    scale = np.sqrt(6 / 3)
-    S = np.zeros((3, 6))
-    S[np.arange(3), rows] = scale
-    assert np.allclose(subsample_mode(X, rows, scale, 1),
-                       np.einsum("ab,ibk->iak", S, X), atol=1e-13)
 
 
 def test_mix_preserves_norm_and_unmixes():

@@ -10,6 +10,13 @@ from tuckersketch.fileio import (
 from tuckersketch.tucker import TuckerDecomposition, reconstruct
 
 
+def test_tensor_writer_rejects_complex_values(tmp_path):
+    path = tmp_path / "z.tkr"
+    with pytest.raises(ValueError, match="must be real"):
+        write_tensor(path, np.ones((2, 3)) * (1 + 2j))
+    assert not path.exists()
+
+
 def test_tensor_round_trip(tmp_path):
     gen = np.random.default_rng(0)
     for shape in [(3,), (2, 5), (4, 3, 2), (2, 2, 2, 3)]:
