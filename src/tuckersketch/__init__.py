@@ -19,10 +19,8 @@ from .tucker import (
     psi_matrix,
 )
 from .embeddings import (
-    MixOperators,
-    JLCheck,
     make_embedding,
-    make_mix_operators,
+    draw_signs,
     mix,
     unmix_factor,
     is_eps_jl,

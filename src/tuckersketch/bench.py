@@ -20,6 +20,7 @@ import numpy as np
 
 from . import rng
 from .decompose import METHODS, RANDOMIZED, DecomposerConfig, decompose
+from .tensor import as_tensor
 from .tucker import random_orthogonal_tucker, reconstruct
 
 __all__ = [
@@ -157,7 +158,7 @@ def _run_seed(root: int, method: str, R: int, dr: float, rep: int) -> int:
 
 def run_bench(X, config: BenchConfig, csv_path=None, summary_path=None):
     """Run the sweep; returns ``(rows, summary)`` and optionally writes both."""
-    X = np.asarray(X, dtype=np.float64)
+    X = as_tensor(X)
     config.validate(X.shape)
     q = X.ndim
     rows: list[BenchRow] = []

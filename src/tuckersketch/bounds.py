@@ -217,8 +217,7 @@ def check_inner_product_bound(A: np.ndarray, x, y, eps: float) -> BoundReport:
     """
     x = as_tensor(x)
     y = as_tensor(y)
-    hyp = is_eps_jl(A, np.array([x + y, x - y]), eps)
-    if not hyp.ok:
+    if not is_eps_jl(A, np.array([x + y, x - y]), eps):
         return BoundReport(name="inner-product", trials=1, failures=0, discarded=1)
     lhs = abs(float(np.dot(A @ x, A @ y)) - float(np.dot(x, y)))
     rhs = 0.5 * eps * (float(np.dot(x, x)) + float(np.dot(y, y)))
@@ -256,8 +255,7 @@ def check_prop1(T: TuckerDecomposition, A: np.ndarray, mode: int, eps: float) ->
         raise ValueError("perturbation bounds assume orthonormal factors")
     if not 0 <= mode < T.order:
         raise ValueError(f"mode {mode} out of range")
-    hyp = is_eps_jl(A, pair_vector_set(T.factors[mode]), eps)
-    if not hyp.ok:
+    if not is_eps_jl(A, pair_vector_set(T.factors[mode]), eps):
         return BoundReport(name="mode-perturbation", trials=1, failures=0, discarded=1)
 
     mapped = apply_mode_map(T, A, mode)

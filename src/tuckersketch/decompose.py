@@ -68,13 +68,7 @@ from dataclasses import asdict, dataclass, field
 import numpy as np
 
 from . import rng
-from .embeddings import (
-    draw_sample_rows,
-    make_mix_operators,
-    mix,
-    sample_size,
-    unmix_factor,
-)
+from .embeddings import draw_sample_rows, draw_signs, mix, sample_size, unmix_factor
 from .tensor import as_tensor, inner, matricize, multi_mode_multiply, norm
 from .tucker import TuckerDecomposition, reconstruct
 
@@ -305,8 +299,8 @@ def _run(X: np.ndarray, config: DecomposerConfig):
     run: dict[str, float] = {}
 
     with _timed(run, "mix"):
-        ops = make_mix_operators(X.shape, modes, config.seed)
-        Xw = mix(X, ops)
+        signs = {j: draw_signs(rng.stream(config.seed, rng.MIX, j), X.shape[j]) for j in modes}
+        Xw = mix(X, signs)
         x_norm = norm(Xw)
     # an inf or nan entry makes the norm non-finite (LAPACK hangs on one)
     if not np.isfinite(x_norm) and not np.isfinite(X).all():
@@ -353,7 +347,7 @@ def _run(X: np.ndarray, config: DecomposerConfig):
         final_error = _residual(Xw, x_norm, core, factors, proj)
         if not fit_trace:  # no sweep: report the fit of the initial guess
             fit_trace.append(1.0 - final_error / x_norm)
-        factors = [unmix_factor(f, ops, j) for j, f in enumerate(factors)]
+        factors = [unmix_factor(f, signs.get(j)) for j, f in enumerate(factors)]
         T = TuckerDecomposition(core, factors, orthogonal=True)
     report = RunReport(
         method=config.method,
@@ -371,8 +365,6 @@ def _run(X: np.ndarray, config: DecomposerConfig):
 
 def decompose(X, config: DecomposerConfig):
     """Run the configured solver; returns ``(decomposition, report)``."""
-    if np.iscomplexobj(X):
-        raise ValueError("input tensor must be real (found complex values)")
     X = as_tensor(X)
     config.validate(X.shape)
     return _run(X, config)

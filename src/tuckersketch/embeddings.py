@@ -9,32 +9,29 @@ Two embedding families, each drawn from a caller-supplied generator:
 * ``gaussian``: i.i.d. N(0, 1/m) entries.
 
 :func:`make_embedding` returns the m-by-n matrix A; an embedding is
-applied by matrix or mode products.  An SRFT's rows are built from m
-inverse DCTs, so no n-by-n array is formed.
+applied by matrix or mode products.  An SRFT's rows are the columns of
+(F D)^T at the sampled coordinates, built by :func:`unmix_factor`, so no
+n-by-n array is formed.
 
-The mixing half (F, D per mode) is split out into :class:`MixOperators`
-so iterative solvers can mix their data once, by fast transforms, and
-redraw only the sampling part each sweep.
+Iterative solvers mix their data once by the fast transforms F D, with
+one sign vector per compressed mode (:func:`draw_signs`, :func:`mix`),
+redraw only the row sample S each sweep (:func:`draw_sample_rows`), and
+pull their factors back through (F D)^T (:func:`unmix_factor`).
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
-
 import numpy as np
 import scipy.fft
 
-from . import rng
 from .tensor import as_tensor
 
 __all__ = [
-    "MixOperators",
-    "JLCheck",
     "make_embedding",
-    "make_mix_operators",
+    "draw_signs",
+    "draw_sample_rows",
     "mix",
     "unmix_factor",
-    "draw_sample_rows",
     "sample_size",
     "is_eps_jl",
 ]
@@ -53,15 +50,20 @@ def make_embedding(kind: str, n: int, m: int, gen: np.random.Generator) -> np.nd
     if kind == "srft":
         if m > n:
             raise ValueError(f"srft requires m <= n, got m={m}, n={n}")
-        signs = gen.integers(0, 2, size=n) * 2.0 - 1.0
+        signs = draw_signs(gen, n)
         rows = draw_sample_rows(gen, n, m)
-        # row i of F is the inverse DCT of the unit vector e_i
-        A = np.zeros((m, n))
-        A[np.arange(m), rows] = 1.0
-        A = scipy.fft.idct(A, type=2, axis=1, norm="ortho", overwrite_x=True)
-        A *= np.sqrt(n / m) * signs
-        return A
+        # row i of S F D is column rows[i] of (F D)^T
+        E = np.zeros((n, m))
+        E[rows, np.arange(m)] = 1.0
+        # C order, as the transpose alone would not be: BLAS sums the
+        # products of a transposed operand in another order
+        return np.multiply(np.sqrt(n / m), unmix_factor(E, signs).T, order="C")
     return gen.standard_normal((m, n)) / np.sqrt(m)
+
+
+def draw_signs(gen: np.random.Generator, n: int) -> np.ndarray:
+    """n independent Rademacher signs, as floats +1.0 / -1.0."""
+    return gen.integers(0, 2, size=n) * 2.0 - 1.0
 
 
 def draw_sample_rows(gen: np.random.Generator, n: int, m: int) -> np.ndarray:
@@ -78,76 +80,52 @@ def sample_size(dr: float, n: int) -> int:
     return max(1, int(np.floor(dr * n + 0.5)))
 
 
-@dataclass(frozen=True)
-class MixOperators:
-    """Per-mode sign-flip plus DCT mixing maps (None entries skip a mode)."""
-
-    shape: tuple[int, ...]
-    signs: tuple[np.ndarray | None, ...]
-
-
-def make_mix_operators(shape, modes, seed: int) -> MixOperators:
-    """Draw one Rademacher sign vector per listed mode."""
-    shape = tuple(int(n) for n in shape)
-    signs: list[np.ndarray | None] = [None] * len(shape)
-    for j in modes:
-        if not 0 <= j < len(shape):
-            raise ValueError(f"mode {j} out of range for shape {shape}")
-        signs[j] = rng.stream(seed, rng.MIX, j).integers(0, 2, size=shape[j]) * 2.0 - 1.0
-    return MixOperators(shape=shape, signs=tuple(signs))
-
-
-def mix(X, ops: MixOperators) -> np.ndarray:
-    """Mix a tensor along every mode the operators cover (norm preserving).
+def mix(X, signs: dict[int, np.ndarray]) -> np.ndarray:
+    """Mix a tensor by F D along every mode ``j`` of ``signs``, where D is
+    the diagonal of ``signs[j]`` and F the orthonormal DCT-II (norm
+    preserving).
 
     The result is one C-ordered working copy, flipped and transformed in
-    place mode by mode; ``X`` itself is never written, and it is returned
-    as is when the operators cover no mode.
+    place mode by mode, in increasing mode order; ``X`` itself is never
+    written, and it is returned as is when ``signs`` is empty.
     """
     X = as_tensor(X)
-    if X.shape != ops.shape:
-        raise ValueError(f"tensor shape {X.shape} does not match operators {ops.shape}")
-    if all(signs is None for signs in ops.signs):
+    for j, s in signs.items():
+        if not 0 <= j < X.ndim:
+            raise ValueError(f"mode {j} out of range for shape {X.shape}")
+        if np.shape(s) != (X.shape[j],):
+            raise ValueError(f"sign vector of shape {np.shape(s)} for mode {j} of size {X.shape[j]}")
+    if not signs:
         return X
     # C order: the row takes and mode products downstream are several
     # times slower on a first-index-fastest copy
     out = np.array(X, order="C")
-    for j, signs in enumerate(ops.signs):
-        if signs is not None:
-            shape = [1] * out.ndim
-            shape[j] = -1
-            out *= signs.reshape(shape)
-            out = scipy.fft.dct(out, type=2, axis=j, norm="ortho", overwrite_x=True)
+    for j in sorted(signs):
+        shape = [1] * out.ndim
+        shape[j] = -1
+        out *= signs[j].reshape(shape)
+        out = scipy.fft.dct(out, type=2, axis=j, norm="ortho", overwrite_x=True)
     return out
 
 
-def unmix_factor(G, ops: MixOperators, mode: int) -> np.ndarray:
-    """Pull a factor matrix back through the mode's mixing map.
+def unmix_factor(G, signs: np.ndarray | None) -> np.ndarray:
+    """Pull a factor matrix back through one mode's mixing map: ``(F D)^T G``
+    with D the diagonal of ``signs``; a no-op when ``signs`` is None.
 
     Inverts the mix (sign flip then DCT) by applying the inverse DCT and
-    then the sign flip; a no-op for modes the operators skip.
+    then the sign flip.
     """
     G = as_tensor(G)
-    signs = ops.signs[mode]
     if signs is None:
         return G
-    if G.shape[0] != ops.shape[mode]:
-        raise ValueError(f"factor has {G.shape[0]} rows, mode {mode} has size {ops.shape[mode]}")
+    if G.shape[0] != len(signs):
+        raise ValueError(f"factor has {G.shape[0]} rows, sign vector has {len(signs)}")
     return signs[:, None] * scipy.fft.idct(G, type=2, axis=0, norm="ortho")
 
 
-@dataclass
-class JLCheck:
-    """Per-vector squared-norm distortions under an embedding."""
-
-    distortions: np.ndarray = field(default_factory=lambda: np.zeros(0))
-    passed: np.ndarray = field(default_factory=lambda: np.zeros(0, dtype=bool))
-    ok: bool = True
-
-
-def is_eps_jl(A: np.ndarray, vectors, eps: float) -> JLCheck:
-    """Check ``| ||A x||^2 / ||x||^2 - 1 | < eps`` for every given vector
-    (the rows of ``vectors``) under the embedding matrix ``A``.
+def is_eps_jl(A: np.ndarray, vectors, eps: float) -> bool:
+    """Whether ``| ||A x||^2 / ||x||^2 - 1 | < eps`` holds for every given
+    vector (the rows of ``vectors``) under the embedding matrix ``A``.
 
     Zero vectors pass vacuously (distortion 0).  The comparison is
     strict, matching the open-interval definition of the property.
@@ -163,5 +141,4 @@ def is_eps_jl(A: np.ndarray, vectors, eps: float) -> JLCheck:
     distortions = np.zeros(len(sq))
     nonzero = sq > 0.0
     distortions[nonzero] = mapped_sq[nonzero] / sq[nonzero] - 1.0
-    passed = np.abs(distortions) < eps
-    return JLCheck(distortions=distortions, passed=passed, ok=bool(passed.all()))
+    return bool(np.all(np.abs(distortions) < eps))

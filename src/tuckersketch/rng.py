@@ -5,7 +5,8 @@ Philox generator keyed by ``(seed, stream tag, *indices)``, so each draw
 is reproducible from the run seed alone and independent of execution
 order.  Stream tags used by the library:
 
-    MIX     sign draws for the one-time mode mixing step, keyed (MIX, mode)
+    MIX     sign draws for the solver's one-time mode mixing step, keyed
+            (MIX, mode) in ``decompose``
     SAMPLE  row-sampling draws, keyed (SAMPLE, iteration, mode)
     INIT    factor initialisation draws, keyed (INIT, mode)
     TRIAL   Monte-Carlo trials, keyed (TRIAL, t): trial t takes all of its

@@ -32,8 +32,12 @@ __all__ = [
 
 
 def as_tensor(data) -> np.ndarray:
-    """Coerce input to a float64 ndarray."""
-    return np.asarray(data, dtype=np.float64)
+    """Coerce real input to a float64 ndarray; complex input is rejected,
+    not cast (a cast would drop the imaginary part)."""
+    arr = np.asarray(data)
+    if arr.dtype.kind == "c":
+        raise ValueError("tensor must be real (found complex values)")
+    return np.asarray(arr, dtype=np.float64)
 
 
 def from_vec(flat, shape: Sequence[int]) -> np.ndarray:

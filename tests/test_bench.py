@@ -20,6 +20,14 @@ def test_synth_noiseless_is_exactly_low_rank():
     assert reconstruction_error(X, T) <= 1e-10
 
 
+def test_run_bench_rejects_complex_input():
+    # the cast used to drop the imaginary part, and the sweep scored the
+    # real part with no failed run
+    X = synth_tensor((8, 8, 8), (2, 2, 2), 0.0, 4)
+    with pytest.raises(ValueError, match="must be real"):
+        run_bench(X + 1j * X, BenchConfig(methods=("hooi",), ranks=(2,), reps=1))
+
+
 def test_synth_same_seed_same_bytes(tmp_path):
     a = tmp_path / "a.tkr"
     b = tmp_path / "b.tkr"

@@ -72,6 +72,14 @@ def test_complex_input_rejected():
                 decompose(Z, DecomposerConfig(ranks=(2, 2, 2), method=method, dr=0.5))
 
 
+def test_reconstruction_error_rejects_complex_input():
+    # the cast used to drop the imaginary part and score the real part alone
+    X = synth_tensor((8, 8, 8), (2, 2, 2), 0.0, 4)
+    T = hosvd(X, (2, 2, 2))
+    with pytest.raises(ValueError, match="must be real"):
+        reconstruction_error(X + 1j * X, T)
+
+
 def test_hosvd_exact_recovery_and_orthogonality():
     X = synth_tensor((12, 10, 11), (3, 2, 4), 0.0, 5)
     T = hosvd(X, (3, 2, 4))

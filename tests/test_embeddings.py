@@ -1,12 +1,13 @@
 import numpy as np
 import pytest
+import scipy.fft
 
 from tuckersketch import rng
 from tuckersketch.embeddings import (
     draw_sample_rows,
+    draw_signs,
     is_eps_jl,
     make_embedding,
-    make_mix_operators,
     mix,
     sample_size,
     unmix_factor,
@@ -94,39 +95,49 @@ def test_draw_sample_rows_without_replacement():
         draw_sample_rows(gen, 4, 5)
 
 
+def mix_signs(shape, modes, seed):
+    return {j: draw_signs(rng.stream(seed, rng.MIX, j), shape[j]) for j in modes}
+
+
+def test_draw_signs_are_rademacher():
+    s = draw_signs(rng.stream(0), 1000)
+    assert s.shape == (1000,) and s.dtype == np.float64
+    assert set(np.unique(s)) == {-1.0, 1.0}
+    assert np.array_equal(s, draw_signs(rng.stream(0), 1000))
+
+
 def test_mix_preserves_norm_and_unmixes():
     gen = np.random.default_rng(6)
     X = gen.standard_normal((5, 6, 4))
-    ops = make_mix_operators(X.shape, (0, 2), seed=9)
-    Xm = mix(X, ops)
+    signs = mix_signs(X.shape, (0, 2), seed=9)
+    Xm = mix(X, signs)
     assert norm(Xm) == pytest.approx(norm(X), rel=1e-12)
-    assert ops.signs[1] is None
 
     # factors living in mixed space pull back through the same maps
     G = gen.standard_normal((5, 3))
-    import scipy.fft
-
-    mixed_G = scipy.fft.dct(ops.signs[0][:, None] * G, type=2, axis=0, norm="ortho")
-    assert np.allclose(unmix_factor(mixed_G, ops, 0), G, atol=1e-12)
+    mixed_G = scipy.fft.dct(signs[0][:, None] * G, type=2, axis=0, norm="ortho")
+    assert np.allclose(unmix_factor(mixed_G, signs[0]), G, atol=1e-12)
     # unmixing preserves orthonormality
     Q = np.linalg.qr(gen.standard_normal((5, 3)))[0]
-    U = unmix_factor(Q, ops, 0)
+    U = unmix_factor(Q, signs[0])
     assert np.max(np.abs(U.T @ U - np.eye(3))) <= 1e-12
     # no-op for untouched modes
     H = gen.standard_normal((6, 2))
-    assert np.array_equal(unmix_factor(H, ops, 1), H)
+    assert np.array_equal(unmix_factor(H, signs.get(1)), H)
+    with pytest.raises(ValueError, match="rows"):
+        unmix_factor(H, signs[0])
 
 
 @pytest.mark.parametrize("modes", [(0, 1, 2), (0, 2)])
 def test_mix_matches_dense_mode_products(modes):
     gen = np.random.default_rng(8)
     X = gen.standard_normal((5, 6, 4))
-    ops = make_mix_operators(X.shape, modes, seed=11)
-    dense = [None if s is None else dct_matrix(len(s)) * s[None, :] for s in ops.signs]
+    signs = mix_signs(X.shape, modes, seed=11)
+    dense = [dct_matrix(n) * signs[j][None, :] if j in signs else None for j, n in enumerate(X.shape)]
     expected = multi_mode_multiply(X, dense)
     for Y in (X, np.asfortranarray(X)):
         before = Y.copy()
-        out = mix(Y, ops)
+        out = mix(Y, signs)
         assert np.allclose(out, expected, atol=1e-13)
         # one C-ordered working copy, mixed in place; the input is not written
         assert out.flags.c_contiguous and not np.shares_memory(out, Y)
@@ -136,24 +147,36 @@ def test_mix_matches_dense_mode_products(modes):
 def test_mix_with_no_modes_is_identity():
     gen = np.random.default_rng(7)
     X = gen.standard_normal((4, 4))
-    ops = make_mix_operators(X.shape, (), seed=0)
-    assert mix(X, ops) is X
+    assert mix(X, {}) is X
+
+
+def test_mix_transforms_in_mode_order_whatever_the_key_order():
+    gen = np.random.default_rng(9)
+    X = gen.standard_normal((5, 6, 4))
+    s0, s2 = draw_signs(gen, 5), draw_signs(gen, 4)
+    assert np.array_equal(mix(X, {2: s2, 0: s0}), mix(X, {0: s0, 2: s2}))
+
+
+def test_mix_rejects_bad_modes_and_sign_lengths():
+    X = np.ones((5, 6, 4))
+    for bad in (3, -1):
+        with pytest.raises(ValueError, match="out of range"):
+            mix(X, {bad: np.ones(4)})
+    with pytest.raises(ValueError, match="sign vector"):
+        mix(X, {1: np.ones(5)})
 
 
 def test_is_eps_jl_orthogonal_map_passes_with_zero_distortion():
     E = make_embedding("srft", 12, 12, rng.stream(3))
     gen = np.random.default_rng(8)
     vectors = gen.standard_normal((5, 12))
-    report = is_eps_jl(E, vectors, eps=0.01)
-    assert report.ok
-    assert np.max(np.abs(report.distortions)) <= 1e-12
+    assert is_eps_jl(E, vectors, eps=1e-12)
 
 
 def test_is_eps_jl_zero_vector_passes_vacuously():
     E = make_embedding("gaussian", 8, 4, rng.stream(0))
-    report = is_eps_jl(E, np.zeros((1, 8)), eps=0.1)
-    assert report.ok
-    assert report.distortions[0] == 0.0
+    # the smallest positive eps: the distortion is exactly 0
+    assert is_eps_jl(E, np.zeros((1, 8)), eps=np.nextafter(0.0, 1.0))
 
 
 def test_is_eps_jl_validation():
@@ -175,7 +198,7 @@ def jl_failure_rate(kind, n, m, make_set, eps, trials, seed) -> float:
     for t in range(trials):
         gen = rng.stream(seed, rng.TRIAL, t)
         E = make_embedding(kind, n, m, gen)
-        if not is_eps_jl(E, make_set(gen), eps).ok:
+        if not is_eps_jl(E, make_set(gen), eps):
             failures += 1
     return failures / trials
 
