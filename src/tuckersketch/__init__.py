@@ -34,7 +34,6 @@ from .decompose import (
     reconstruction_error,
 )
 from .bounds import (
-    BoundParams,
     BoundReport,
     embedding_dim_bound,
     residual_embedding_dim_bound,

@@ -44,7 +44,6 @@ from .tucker import (
 )
 
 __all__ = [
-    "BoundParams",
     "BoundReport",
     "max_admissible_eps",
     "max_admissible_residual_eps",
@@ -66,39 +65,30 @@ __all__ = [
 _FP_SLACK = 1e-12
 
 
-@dataclass
-class BoundParams:
-    """Configuration for a distortion experiment."""
+def _validate(eps, eta, ranks=(), dims=None, trials=1, embed_dims=None, y_samples=1) -> None:
+    """Reject a bad experiment setting; ``dims``, when given, caps each rank."""
+    if not 0.0 < eps:
+        raise ValueError(f"eps must be positive, got {eps}")
+    if not 0.0 < eta < 1.0:
+        raise ValueError(f"eta must lie in (0, 1), got {eta}")
+    if dims is None:
+        dims = (math.inf,) * len(ranks)
+    if len(ranks) != len(dims):
+        raise ValueError("dims and ranks must have equal length")
+    for n, r in zip(dims, ranks):
+        if not 1 <= r <= n:
+            raise ValueError(f"rank {r} must lie in [1, {n}]")
+    if trials < 1:
+        raise ValueError("trials must be at least 1")
+    if embed_dims is not None and len(embed_dims) != len(dims):
+        raise ValueError("embed_dims must list one size per mode")
+    if y_samples < 1:
+        raise ValueError("y_samples must be at least 1")
 
-    eps: float
-    eta: float
-    dims: tuple[int, ...]
-    ranks: tuple[int, ...]
-    trials: int
-    embed_dims: tuple[int, ...] | None = None
-    seed: int = 0
-    y_samples: int = 20
 
-    @property
-    def order(self) -> int:
-        return len(self.dims)
-
-    def validate(self) -> None:
-        if not 0.0 < self.eps:
-            raise ValueError(f"eps must be positive, got {self.eps}")
-        if not 0.0 < self.eta < 1.0:
-            raise ValueError(f"eta must lie in (0, 1), got {self.eta}")
-        if len(self.ranks) != len(self.dims):
-            raise ValueError("dims and ranks must have equal length")
-        for n, r in zip(self.dims, self.ranks):
-            if not 1 <= r <= n:
-                raise ValueError(f"rank {r} invalid for dimension {n}")
-        if self.trials < 1:
-            raise ValueError("trials must be at least 1")
-        if self.embed_dims is not None and len(self.embed_dims) != len(self.dims):
-            raise ValueError("embed_dims must list one size per mode")
-        if self.y_samples < 1:
-            raise ValueError("y_samples must be at least 1")
+def _trial(seed: int, t: int) -> np.random.Generator:
+    """Trial t's stream: every suite takes all of trial t's draws from it."""
+    return rng.stream(seed, rng.TRIAL, t)
 
 
 @dataclass
@@ -158,7 +148,7 @@ def max_admissible_residual_eps(rmax: int, order: int) -> float:
     return math.log(2.0) / (0.5 / rmax + 0.25 + 0.5 / (order * rmax))
 
 
-def embedding_dim_bound(params: BoundParams) -> list[int]:
+def embedding_dim_bound(eps: float, eta: float, ranks) -> list[int]:
     """Per-mode sample sizes sufficient for the multimode guarantee.
 
     Computes ``ceil((C rmax^2 q^2 / eps^2) ln(R_j^2 q / eta))`` per mode
@@ -166,30 +156,24 @@ def embedding_dim_bound(params: BoundParams) -> list[int]:
     least 1 (the logarithm can go nonpositive in degenerate corners such
     as eta near 1 with R_j = q = 1).
     """
-    params.validate()
-    q = params.order
-    rmax = max(params.ranks)
-    lead = rmax**2 * q**2 / params.eps**2
-    out = []
-    for r in params.ranks:
-        val = lead * math.log(r**2 * q / params.eta)
-        out.append(max(1, math.ceil(val)))
-    return out
+    _validate(eps, eta, ranks)
+    q = len(ranks)
+    lead = max(ranks) ** 2 * q**2 / eps**2
+    return [max(1, math.ceil(lead * math.log(r**2 * q / eta))) for r in ranks]
 
 
-def residual_embedding_dim_bound(params: BoundParams, p_dim: int) -> int:
+def residual_embedding_dim_bound(eps: float, eta: float, dims, p_dim: int) -> int:
     """Sample size sufficient for the residual-distortion guarantee.
 
     Computes ``ceil((C (q+1)^3 p / eps^2) ln(4 nmax / eta^(1/(q+1))))``
     with the unspecified absolute constant C taken as 1, clamped to at
     least 1.
     """
-    params.validate()
+    _validate(eps, eta)
     if p_dim < 1:
         raise ValueError("subspace dimension must be at least 1")
-    q = params.order
-    nmax = max(params.dims)
-    val = (q + 1) ** 3 * p_dim / params.eps**2 * math.log(4.0 * nmax / params.eta ** (1.0 / (q + 1)))
+    q = len(dims)
+    val = (q + 1) ** 3 * p_dim / eps**2 * math.log(4.0 * max(dims) / eta ** (1.0 / (q + 1)))
     return max(1, math.ceil(val))
 
 
@@ -208,31 +192,24 @@ def pair_vector_set(factor: np.ndarray) -> np.ndarray:
     return np.array(vecs)
 
 
-def check_inner_product_bound(A: np.ndarray, x, y, eps: float) -> BoundReport:
+def check_inner_product_bound(A: np.ndarray, x, y, eps: float) -> dict | None:
     """Inner-product preservation implied by low distortion of x+y, x-y.
 
     Hypothesis: the embedding matrix A distorts ``{x+y, x-y}`` by less than eps.
     Conclusion: ``|<Ax, Ay> - <x, y>| <= (eps/2) (||x||^2 + ||y||^2)``.
-    A draw that fails the hypothesis is discarded, not failed.
+    Returns None for a draw that fails the hypothesis (it is discarded,
+    not failed), else ``ok`` (the conclusion held) with ``lhs`` and ``rhs``.
     """
     x = as_tensor(x)
     y = as_tensor(y)
     if not is_eps_jl(A, np.array([x + y, x - y]), eps):
-        return BoundReport(name="inner-product", trials=1, failures=0, discarded=1)
+        return None
     lhs = abs(float(np.dot(A @ x, A @ y)) - float(np.dot(x, y)))
     rhs = 0.5 * eps * (float(np.dot(x, x)) + float(np.dot(y, y)))
-    violated = lhs > rhs + _FP_SLACK * (1.0 + rhs)
-    return BoundReport(
-        name="inner-product",
-        trials=1,
-        failures=int(violated),
-        passed=not violated,
-        distortions=[lhs],
-        details={"lhs": lhs, "rhs": rhs},
-    )
+    return {"ok": lhs <= rhs + _FP_SLACK * (1.0 + rhs), "lhs": lhs, "rhs": rhs}
 
 
-def check_prop1(T: TuckerDecomposition, A: np.ndarray, mode: int, eps: float) -> BoundReport:
+def check_prop1(T: TuckerDecomposition, A: np.ndarray, mode: int, eps: float) -> dict | None:
     """Single-mode perturbation bounds for an orthogonal decomposition.
 
     Hypothesis: the embedding matrix A distorts the mode's columns and their
@@ -250,13 +227,16 @@ def check_prop1(T: TuckerDecomposition, A: np.ndarray, mode: int, eps: float) ->
     orthonormal factors, and the mapped norm is the Gram evaluation of
     :func:`~tuckersketch.tucker.norm_via_gram`, sharing the weight Gram
     matrix with the envelope.
+
+    Returns None for a draw that fails the hypothesis, else ``ok`` (all
+    three held) with each conclusion's flag and the numbers it compares.
     """
     if not T.orthogonal:
         raise ValueError("perturbation bounds assume orthonormal factors")
     if not 0 <= mode < T.order:
         raise ValueError(f"mode {mode} out of range")
     if not is_eps_jl(A, pair_vector_set(T.factors[mode]), eps):
-        return BoundReport(name="mode-perturbation", trials=1, failures=0, discarded=1)
+        return None
 
     mapped = apply_mode_map(T, A, mode)
 
@@ -279,24 +259,17 @@ def check_prop1(T: TuckerDecomposition, A: np.ndarray, mode: int, eps: float) ->
     envelope = eps * float(np.sum(np.abs(weight)))
     norm_ok = abs(sq_new - sq_old) <= envelope + _FP_SLACK * (1.0 + envelope)
 
-    ok = core_ok and coher_ok and transport_ok and norm_ok
-    return BoundReport(
-        name="mode-perturbation",
-        trials=1,
-        failures=int(not ok),
-        passed=ok,
-        distortions=[abs(sq_new - sq_old)],
-        details={
-            "core_ok": core_ok,
-            "coherence_ok": coher_ok,
-            "coherence_transport_ok": transport_ok,
-            "norm_ok": norm_ok,
-            "mapped_coherence": mu_new,
-            "coherence_bound": mu_bound,
-            "norm_shift": abs(sq_new - sq_old),
-            "norm_envelope": envelope,
-        },
-    )
+    return {
+        "ok": core_ok and coher_ok and transport_ok and norm_ok,
+        "core_ok": core_ok,
+        "coherence_ok": coher_ok,
+        "coherence_transport_ok": transport_ok,
+        "norm_ok": norm_ok,
+        "mapped_coherence": mu_new,
+        "coherence_bound": mu_bound,
+        "norm_shift": abs(sq_new - sq_old),
+        "norm_envelope": envelope,
+    }
 
 
 def _sq_norm_on_core(core: np.ndarray, factors) -> float:
@@ -308,46 +281,37 @@ def _sq_norm_on_core(core: np.ndarray, factors) -> float:
     return inner(core, multi_mode_multiply(core, [A.T @ A for A in factors]))
 
 
-def _tail_report(
-    name: str, params: BoundParams, admissible_eps, distortion, family: str, details: dict
-) -> BoundReport:
+def _tail_report(name, eps, eta, trials, seed, limit, distortion, details) -> BoundReport:
     """Tail check shared by the multimode and residual distortion checks.
 
-    Runs ``distortion(t)`` for every trial t; passing means the fraction
-    of trials whose distortion exceeds eps is at most eta plus binomial
-    slack.  Raises if ``embed_dims`` is unset or eps exceeds
-    ``admissible_eps(rmax, order)``, the range of the guarantee checked.
+    Runs ``distortion(gen)`` on every trial's stream; passing means the
+    fraction of trials whose distortion exceeds eps is at most eta plus
+    binomial slack.  Raises if eps exceeds ``limit``, the top of the
+    range the checked guarantee covers.
     """
-    if params.embed_dims is None:
-        raise ValueError("embed_dims must be set for distortion checks")
-    limit = admissible_eps(max(params.ranks), params.order)
-    if params.eps > limit:
-        raise ValueError(f"eps={params.eps} exceeds admissible bound {limit:.4f}")
-    distortions = [distortion(t) for t in range(params.trials)]
-    failures = sum(1 for d in distortions if d > params.eps)
-    threshold = _binomial_threshold(params.eta, params.trials)
-    return BoundReport(
-        name=name,
-        trials=params.trials,
-        failures=failures,
-        threshold=threshold,
-        passed=failures / params.trials <= threshold,
-        distortions=distortions,
-        details={"family": family, "embed_dims": list(params.embed_dims), **details},
-    )
+    if eps > limit:
+        raise ValueError(f"eps={eps} exceeds admissible bound {limit:.4f}")
+    distortions = [distortion(_trial(seed, t)) for t in range(trials)]
+    failures = sum(1 for d in distortions if d > eps)
+    threshold = _binomial_threshold(eta, trials)
+    return BoundReport(name, trials, failures, threshold=threshold, passed=failures / trials <= threshold,
+                       distortions=distortions, details=details)
 
 
-def _trial_embeddings(params: BoundParams, family: str, gen: np.random.Generator) -> list[np.ndarray]:
-    """Fresh per-mode embedding matrices at the configured sizes, drawn from ``gen`` in mode order."""
-    return [make_embedding(family, n, m, gen) for n, m in zip(params.dims, params.embed_dims)]
+def _trial_embeddings(family: str, dims, embed_dims, gen: np.random.Generator) -> list[np.ndarray]:
+    """Fresh per-mode embedding matrices at the given sizes, drawn from ``gen`` in mode order."""
+    return [make_embedding(family, n, m, gen) for n, m in zip(dims, embed_dims)]
 
 
-def check_multimode_distortion(params: BoundParams, family: str = "gaussian") -> BoundReport:
+def check_multimode_distortion(
+    dims, ranks, embed_dims, eps: float, eta: float, trials: int, seed: int = 0, family: str = "gaussian"
+) -> BoundReport:
     """Monte-Carlo tail check for squared-norm distortion of low-rank draws.
 
-    Each trial draws a random orthogonal decomposition ``Y = G x_k F_k``,
-    then embeds every mode with a fresh draw ``E_k`` at the configured sizes
-    and records the relative squared-norm distortion.  Embedding a Tucker
+    Each trial draws a random orthogonal decomposition ``Y = G x_k F_k``
+    of shape ``dims`` and multilinear rank ``ranks``, then embeds every
+    mode with a fresh draw ``E_k`` of ``embed_dims[k]`` rows and records
+    the relative squared-norm distortion.  Embedding a Tucker
     tensor along every mode gives the Tucker tensor with embedded factors,
     ``(G x_k F_k) x_k E_k = G x_k (E_k F_k)``, so only the n_k-by-R_k
     factors are embedded and both squared norms are evaluated on the core
@@ -356,16 +320,18 @@ def check_multimode_distortion(params: BoundParams, family: str = "gaussian") ->
     exceeding eps is at most eta plus binomial slack.  Raises if eps sits
     outside the admissible range of the guarantee being checked.
     """
-    params.validate()
+    _validate(eps, eta, ranks, dims, trials, embed_dims)
 
-    def distortion(t: int) -> float:
-        gen = rng.stream(params.seed, rng.TRIAL, t)
-        T = random_orthogonal_tucker(params.dims, params.ranks, gen)
-        embedded = [E @ F for E, F in zip(_trial_embeddings(params, family, gen), T.factors)]
+    def distortion(gen: np.random.Generator) -> float:
+        T = random_orthogonal_tucker(dims, ranks, gen)
+        embedded = [E @ F for E, F in zip(_trial_embeddings(family, dims, embed_dims, gen), T.factors)]
         sq = _sq_norm_on_core(T.core, T.factors)
         return abs(_sq_norm_on_core(T.core, embedded) - sq) / sq
 
-    return _tail_report("multimode-distortion", params, max_admissible_eps, distortion, family, {})
+    return _tail_report(
+        "multimode-distortion", eps, eta, trials, seed, max_admissible_eps(max(ranks), len(dims)),
+        distortion, {"family": family, "embed_dims": list(embed_dims)},
+    )
 
 
 def _residual_split(Xm: np.ndarray, W: np.ndarray):
@@ -406,15 +372,18 @@ def estimate_subspace_dim(core, factors, mode: int) -> int:
 
 
 def check_residual_distortion(
-    X, params: BoundParams, core, factors, mode: int, family: str = "gaussian"
+    X, core, factors, mode: int, embed_dims, eps: float, eta: float, trials: int,
+    seed: int = 0, y_samples: int = 20, family: str = "gaussian",
 ) -> BoundReport:
     """Monte-Carlo tail check for distortion of residuals against a sweep.
 
     The candidate set fixes the core and all factors but one; candidates
     Y arise from random orthonormal draws A in the free mode.  Each trial
-    draws fresh embeddings for every mode, then ``params.y_samples``
-    candidates, and measures the worst relative squared-norm distortion
-    of ``X - Y`` over them; the trial fails if that worst case exceeds eps.
+    draws fresh embeddings for every mode, ``embed_dims[k]`` rows for
+    mode k, then ``y_samples`` candidates, and measures the worst
+    relative squared-norm distortion of ``X - Y`` over them; the trial
+    fails if that worst case exceeds eps.  The dimensions are read from
+    ``X`` and the ranks from ``core``.
 
     No candidate is formed as a tensor.  Along ``mode`` a candidate
     unfolds to ``A @ W`` with W the weight matrix of the fixed factors
@@ -430,21 +399,17 @@ def check_residual_distortion(
     m_mode-by-R_mode) difference remains.  Every term is the norm of a
     difference, so there is no cancellation when Y is close to X.
     """
-    params.validate()
     X = as_tensor(X)
-    if X.shape != tuple(params.dims):
-        raise ValueError(f"tensor shape {X.shape} does not match dims {tuple(params.dims)}")
     core = as_tensor(core)
+    _validate(eps, eta, core.shape, X.shape, trials, embed_dims, y_samples)
     shapes = [np.shape(f) for f in factors]
-    if core.ndim != params.order or shapes != list(zip(params.dims, core.shape)):
-        raise ValueError(f"factor shapes {shapes} do not match dims {tuple(params.dims)} and core {core.shape}")
-    samples, n, r = params.y_samples, params.dims[mode], core.shape[mode]
+    if shapes != list(zip(X.shape, core.shape)):
+        raise ValueError(f"factor shapes {shapes} do not match tensor {X.shape} and core {core.shape}")
     split = _residual_split(matricize(X, mode), psi_matrix(core, factors, mode))
 
-    def worst_distortion(t: int) -> float:
-        gen = rng.stream(params.seed, rng.TRIAL, t)
-        embeds = _trial_embeddings(params, family, gen)
-        cands = np.linalg.qr(gen.standard_normal((samples, n, r)))[0]
+    def worst_distortion(gen: np.random.Generator) -> float:
+        embeds = _trial_embeddings(family, X.shape, embed_dims, gen)
+        cands = np.linalg.qr(gen.standard_normal((y_samples, X.shape[mode], core.shape[mode])))[0]
         LX = multi_mode_multiply(X, embeds)
         embedded = [E @ f for E, f in zip(embeds, factors)]
         LW = psi_matrix(core, embedded, mode)
@@ -456,8 +421,8 @@ def check_residual_distortion(
         return float(np.max(np.abs(lsq[keep] - sq[keep]) / sq[keep], initial=0.0))
 
     return _tail_report(
-        "residual-distortion", params, max_admissible_residual_eps, worst_distortion, family,
-        {"y_samples": params.y_samples},
+        "residual-distortion", eps, eta, trials, seed, max_admissible_residual_eps(max(core.shape), X.ndim),
+        worst_distortion, {"family": family, "embed_dims": list(embed_dims), "y_samples": y_samples},
     )
 
 
@@ -475,10 +440,8 @@ def run_lemma21_suite(trials: int = 200, seed: int = 0, tol: float = 1e-10) -> B
     """
     if trials < 1:
         raise ValueError("trials must be at least 1")
-    errs = []
-    failures = 0
-    for t in range(trials):
-        gen = rng.stream(seed, rng.TRIAL, t)
+
+    def gap(gen: np.random.Generator) -> float:
         q = int(gen.integers(3, 5))
         dims = tuple(int(gen.integers(2, 13)) for _ in range(q))
         ranks = tuple(int(gen.integers(1, min(4, n) + 1)) for n in dims)
@@ -488,10 +451,10 @@ def run_lemma21_suite(trials: int = 200, seed: int = 0, tol: float = 1e-10) -> B
         B = gen.standard_normal((p, dims[j]))
         lhs = norm_via_gram(T, B, j)
         rhs = norm(mode_multiply(reconstruct(T), B, j)) ** 2
-        rel = abs(lhs - rhs) / max(abs(lhs), abs(rhs), 1e-300)
-        errs.append(rel)
-        if rel > tol:
-            failures += 1
+        return abs(lhs - rhs) / max(abs(lhs), abs(rhs), 1e-300)
+
+    errs = [gap(_trial(seed, t)) for t in range(trials)]
+    failures = sum(1 for e in errs if e > tol)
     return BoundReport(
         name="gram-identity",
         trials=trials,
@@ -501,6 +464,29 @@ def run_lemma21_suite(trials: int = 200, seed: int = 0, tol: float = 1e-10) -> B
         distortions=errs,
         details={"max_rel_err": max(errs)},
     )
+
+
+def _implication_suite(name: str, seed: int, check, draws: int, target: int = 0):
+    """Conditional check over trial streams t = 0, 1, ...
+
+    ``check(t, gen)`` returns None for a draw that fails the hypothesis
+    (it is discarded) and otherwise its conclusions, ``ok`` among them.
+    Runs ``draws`` draws, or stops early once ``target`` draws satisfy
+    the hypothesis.  Passing needs zero violations among at least
+    ``max(target, 1)`` satisfying draws.  Returns the report and the
+    satisfying draws' conclusions.
+    """
+    held = []
+    t = 0
+    while t < draws and not (target and len(held) >= target):
+        found = check(t, _trial(seed, t))
+        t += 1
+        if found is not None:
+            held.append(found)
+    failures = sum(1 for c in held if not c["ok"])
+    passed = failures == 0 and len(held) >= max(target, 1)
+    report = BoundReport(name, t, failures, discarded=t - len(held), passed=passed, details={"satisfied": len(held)})
+    return report, held
 
 
 def run_lemma_a_suite(
@@ -515,32 +501,16 @@ def run_lemma_a_suite(
     passing needs zero violations and at least one satisfying draw."""
     if trials < 1:
         raise ValueError("trials must be at least 1")
-    failures = 0
-    discarded = 0
-    satisfied = 0
-    worst = 0.0
-    for t in range(trials):
-        gen = rng.stream(seed, rng.TRIAL, t)
+
+    def check(t: int, gen: np.random.Generator):
         E = make_embedding(family, n, m, gen)
         x = gen.standard_normal(n)
         y = gen.standard_normal(n)
-        x /= np.linalg.norm(x)
-        y /= np.linalg.norm(y)
-        rep = check_inner_product_bound(E, x, y, eps)
-        if rep.discarded:
-            discarded += 1
-            continue
-        satisfied += 1
-        failures += rep.failures
-        worst = max(worst, rep.details["lhs"] / rep.details["rhs"])
-    return BoundReport(
-        name="inner-product-suite",
-        trials=trials,
-        failures=failures,
-        discarded=discarded,
-        passed=failures == 0 and satisfied > 0,
-        details={"satisfied": satisfied, "worst_lhs_over_rhs": worst},
-    )
+        return check_inner_product_bound(E, x / np.linalg.norm(x), y / np.linalg.norm(y), eps)
+
+    report, held = _implication_suite("inner-product-suite", seed, check, trials)
+    report.details["worst_lhs_over_rhs"] = max((c["lhs"] / c["rhs"] for c in held), default=0.0)
+    return report
 
 
 def run_prop1_suite(
@@ -554,37 +524,20 @@ def run_prop1_suite(
 ) -> BoundReport:
     """Mode-perturbation bounds until ``target`` hypothesis-passing draws.
 
-    Draws are capped at 20x the target; zero violations required among
-    the satisfying draws.
+    Draw t maps mode ``t % order``.  Draws are capped at 20x the target;
+    zero violations required among the satisfying draws.
     """
     if target < 1:
         raise ValueError("target must be at least 1")
-    failures = 0
-    discarded = 0
-    satisfied = 0
-    draws = 0
-    q = len(dims)
-    while satisfied < target and draws < 20 * target:
-        t = draws
-        draws += 1
-        gen = rng.stream(seed, rng.TRIAL, t)
+
+    def check(t: int, gen: np.random.Generator):
         T = random_orthogonal_tucker(dims, ranks, gen)
-        j = t % q
-        E = make_embedding(family, dims[j], m, gen)
-        rep = check_prop1(T, E, j, eps)
-        if rep.discarded:
-            discarded += 1
-            continue
-        satisfied += 1
-        failures += rep.failures
-    return BoundReport(
-        name="mode-perturbation-suite",
-        trials=draws,
-        failures=failures,
-        discarded=discarded,
-        passed=failures == 0 and satisfied >= target,
-        details={"satisfied": satisfied, "target": target},
-    )
+        j = t % len(dims)
+        return check_prop1(T, make_embedding(family, dims[j], m, gen), j, eps)
+
+    report, _ = _implication_suite("mode-perturbation-suite", seed, check, 20 * target, target)
+    report.details["target"] = target
+    return report
 
 
 def run_th1_suite(
@@ -598,16 +551,7 @@ def run_th1_suite(
     family: str = "gaussian",
 ) -> BoundReport:
     """Multimode distortion tail check at its standard configuration."""
-    params = BoundParams(
-        eps=eps,
-        eta=eta,
-        dims=dims,
-        ranks=ranks,
-        trials=trials,
-        embed_dims=tuple(embed_dim for _ in dims),
-        seed=seed,
-    )
-    return check_multimode_distortion(params, family)
+    return check_multimode_distortion(dims, ranks, (embed_dim,) * len(dims), eps, eta, trials, seed, family)
 
 
 def run_th4_suite(
@@ -625,18 +569,10 @@ def run_th4_suite(
     gen = rng.stream(seed, rng.TRIAL, 10_000, 0)
     X = gen.standard_normal(dims)
     sub = random_orthogonal_tucker(dims, ranks, gen)
-    params = BoundParams(
-        eps=eps,
-        eta=eta,
-        dims=dims,
-        ranks=ranks,
-        trials=trials,
-        embed_dims=tuple(embed_dim for _ in dims),
-        seed=seed,
-        y_samples=y_samples,
+    report = check_residual_distortion(
+        X, sub.core, sub.factors, 0, (embed_dim,) * len(dims), eps, eta, trials, seed, y_samples, family
     )
-    report = check_residual_distortion(X, params, sub.core, sub.factors, mode=0, family=family)
     p_dim = estimate_subspace_dim(sub.core, sub.factors, 0)
     report.details["subspace_dim_estimate"] = p_dim
-    report.details["residual_dim_bound"] = residual_embedding_dim_bound(params, p_dim)
+    report.details["residual_dim_bound"] = residual_embedding_dim_bound(eps, eta, dims, p_dim)
     return report

@@ -124,6 +124,9 @@ class DecomposerConfig:
             raise ValueError(f"max_iters {self.max_iters!r} must be an integer")
         if self.max_iters < 1:
             raise ValueError("max_iters must be at least 1")
+        if not self.rel_tol >= 0.0:  # also rejects nan, under which no run would stop
+            raise ValueError(f"rel_tol must be a non-negative number, got {self.rel_tol}")
+        rng._check_seed(self.seed)
         if self.method in RANDOMIZED:
             if not 0.0 < self.dr <= 1.0:
                 raise ValueError(f"dr must be in (0, 1], got {self.dr}")

@@ -9,8 +9,7 @@ dense route: they materialise every tensor and every embedding matrix.
 import numpy as np
 import scipy.fft
 
-from tuckersketch import rng
-from tuckersketch.bounds import _trial_embeddings
+from tuckersketch.bounds import _trial, _trial_embeddings
 from tuckersketch.tensor import multi_mode_multiply, norm
 from tuckersketch.tucker import TuckerDecomposition, random_orthogonal_tucker, reconstruct
 
@@ -59,26 +58,26 @@ def dct_matrix(n):
     return scipy.fft.dct(np.eye(n), type=2, axis=0, norm="ortho")
 
 
-def multimode_distortion_oracle(params, family):
+def multimode_distortion_oracle(dims, ranks, embed_dims, trials, seed, family):
     """Per-trial distortions of the multimode check, from dense tensors."""
     out = []
-    for t in range(params.trials):
-        gen = rng.stream(params.seed, rng.TRIAL, t)
-        T = random_orthogonal_tucker(params.dims, params.ranks, gen)
-        mats = _trial_embeddings(params, family, gen)
+    for t in range(trials):
+        gen = _trial(seed, t)
+        T = random_orthogonal_tucker(dims, ranks, gen)
+        mats = _trial_embeddings(family, dims, embed_dims, gen)
         Y = reconstruct(T)
         sq = norm(Y) ** 2
         out.append(abs(norm(multi_mode_multiply(Y, mats)) ** 2 - sq) / sq)
     return out
 
 
-def residual_distortion_oracle(X, params, core, factors, mode, family):
+def residual_distortion_oracle(X, core, factors, mode, embed_dims, trials, seed, y_samples, family):
     """Per-trial worst distortions of the residual check, from dense tensors."""
     out = []
-    for t in range(params.trials):
-        gen = rng.stream(params.seed, rng.TRIAL, t)
-        mats = _trial_embeddings(params, family, gen)
-        draws = gen.standard_normal((params.y_samples, params.dims[mode], core.shape[mode]))
+    for t in range(trials):
+        gen = _trial(seed, t)
+        mats = _trial_embeddings(family, X.shape, embed_dims, gen)
+        draws = gen.standard_normal((y_samples, X.shape[mode], core.shape[mode]))
         LX = multi_mode_multiply(X, mats)
         worst = 0.0
         for draw in draws:

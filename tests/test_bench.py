@@ -28,6 +28,13 @@ def test_run_bench_rejects_complex_input():
         run_bench(X + 1j * X, BenchConfig(methods=("hooi",), ranks=(2,), reps=1))
 
 
+def test_run_bench_rejects_bad_seed():
+    X = synth_tensor((8, 8, 8), (2, 2, 2), 0.1, 4)
+    for seed in (-1, 1.5):
+        with pytest.raises(ValueError, match=f"^seed must be a non-negative integer, got {seed}$"):
+            run_bench(X, BenchConfig(methods=("hooi",), ranks=(2,), reps=1, seed=seed))
+
+
 def test_synth_same_seed_same_bytes(tmp_path):
     a = tmp_path / "a.tkr"
     b = tmp_path / "b.tkr"

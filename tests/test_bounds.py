@@ -1,11 +1,10 @@
 import math
-from dataclasses import replace
 
 import numpy as np
 import pytest
 
 from tuckersketch.bounds import (
-    BoundParams,
+    _trial,
     _trial_embeddings,
     check_inner_product_bound,
     check_multimode_distortion,
@@ -28,59 +27,61 @@ from tuckersketch.tucker import TuckerDecomposition, random_orthogonal_tucker, r
 from oracles import multimode_distortion_oracle, residual_distortion_oracle, subspace_dim_oracle
 
 
-def params(**kw):
-    base = dict(eps=0.5, eta=0.1, dims=(16, 16, 16), ranks=(2, 2, 2), trials=10)
-    base.update(kw)
-    return BoundParams(**base)
+def multimode(**kw):
+    """check_multimode_distortion at a small default setting, overridden by ``kw``."""
+    setting = dict(dims=(16, 16, 16), ranks=(2, 2, 2), embed_dims=(8, 8, 8), eps=0.5, eta=0.1, trials=10)
+    return check_multimode_distortion(**{**setting, **kw})
 
 
-def test_bound_params_validation():
+def test_bound_check_validation():
+    # one validator serves every check; each bad setting is rejected
     with pytest.raises(ValueError):
-        params(eps=-1.0).validate()
+        multimode(eps=-1.0)
     with pytest.raises(ValueError):
-        params(eta=0.0).validate()
+        multimode(eta=0.0)
     with pytest.raises(ValueError):
-        params(ranks=(2, 2)).validate()
+        multimode(ranks=(2, 2))
     with pytest.raises(ValueError):
-        params(ranks=(17, 2, 2)).validate()
+        multimode(ranks=(17, 2, 2))
     with pytest.raises(ValueError):
-        params(trials=0).validate()
+        multimode(trials=0)
+    X, core, factors = oblique_problem((6, 7, 8), (2, 3, 2), 82)
     with pytest.raises(ValueError, match="y_samples"):
-        params(y_samples=0).validate()
+        check_residual_distortion(X, core, factors, 0, (4, 5, 6), eps=0.6, eta=0.2, trials=1, y_samples=0)
+    with pytest.raises(ValueError):
+        embedding_dim_bound(0.5, 0.1, (0, 2, 2))
+    with pytest.raises(ValueError):
+        residual_embedding_dim_bound(0.5, 1.0, (16, 16, 16), p_dim=32)
 
 
 def test_embedding_dim_bound_frozen_value():
-    p = BoundParams(eps=0.5, eta=0.1, dims=(64, 64, 64), ranks=(3, 3, 3), trials=1)
-    assert embedding_dim_bound(p) == [1814, 1814, 1814]
+    assert embedding_dim_bound(0.5, 0.1, (3, 3, 3)) == [1814, 1814, 1814]
 
 
 def test_embedding_dim_bound_scales_inverse_square_in_eps():
-    p1 = params(eps=0.25)
-    p2 = params(eps=0.5)
     # pre-ceiling the bound quarters when eps doubles
-    raw1 = embedding_dim_bound(p1)[0]
-    raw2 = embedding_dim_bound(p2)[0]
+    raw1 = embedding_dim_bound(0.25, 0.1, (2, 2, 2))[0]
+    raw2 = embedding_dim_bound(0.5, 0.1, (2, 2, 2))[0]
     assert raw1 == pytest.approx(4 * raw2, rel=0.01)
 
 
 def test_embedding_dim_bound_monotone_in_eta():
-    tight = embedding_dim_bound(params(eta=0.01))[0]
-    loose = embedding_dim_bound(params(eta=0.5))[0]
+    tight = embedding_dim_bound(0.5, 0.01, (2, 2, 2))[0]
+    loose = embedding_dim_bound(0.5, 0.5, (2, 2, 2))[0]
     assert tight > loose
 
 
 def test_embedding_dim_bound_degenerate_clamp():
-    p = BoundParams(eps=2.0, eta=0.999, dims=(4,), ranks=(1,), trials=1)
-    assert embedding_dim_bound(p) == [1]
+    assert embedding_dim_bound(2.0, 0.999, (1,)) == [1]
 
 
 def test_residual_embedding_dim_bound():
-    p = params()
-    m = residual_embedding_dim_bound(p, p_dim=32)
+    dims = (16, 16, 16)
+    m = residual_embedding_dim_bound(0.5, 0.1, dims, p_dim=32)
     assert m >= 1
-    assert residual_embedding_dim_bound(p, p_dim=64) > m
+    assert residual_embedding_dim_bound(0.5, 0.1, dims, p_dim=64) > m
     with pytest.raises(ValueError):
-        residual_embedding_dim_bound(p, p_dim=0)
+        residual_embedding_dim_bound(0.5, 0.1, dims, p_dim=0)
 
 
 def test_admissible_eps_frozen_value():
@@ -102,16 +103,16 @@ def test_inner_product_bound_orthogonal_map_never_violates():
     x = gen.standard_normal(32)
     y = gen.standard_normal(32)
     rep = check_inner_product_bound(E, x, y, eps=0.3)
-    assert rep.passed and not rep.discarded
-    assert rep.details["lhs"] <= 1e-10
+    assert rep is not None and rep["ok"]
+    assert rep["lhs"] <= 1e-10
 
 
 def test_inner_product_bound_zero_vector_edge():
     E = make_embedding("gaussian", 16, 8, rng.stream(1))
     x = np.random.default_rng(1).standard_normal(16)
     rep = check_inner_product_bound(E, x, np.zeros(16), eps=0.5)
-    assert rep.discarded == 0
-    assert rep.passed
+    assert rep is not None
+    assert rep["ok"]
 
 
 def test_inner_product_bound_discards_failed_hypothesis():
@@ -120,25 +121,23 @@ def test_inner_product_bound_discards_failed_hypothesis():
     E = make_embedding("gaussian", 16, 2, rng.stream(3))
     x = gen.standard_normal(16)
     y = gen.standard_normal(16)
-    rep = check_inner_product_bound(E, x, y, eps=1e-6)
-    assert rep.discarded == 1
-    assert rep.failures == 0
+    assert check_inner_product_bound(E, x, y, eps=1e-6) is None
 
 
 def test_prop1_orthogonal_map_zero_distortion():
     T = random_orthogonal_tucker((12, 12, 12), (3, 3, 3), np.random.default_rng(3))
     E = make_embedding("srft", 12, 12, rng.stream(7))
     rep = check_prop1(T, E, mode=0, eps=0.4)
-    assert not rep.discarded
-    assert rep.passed
-    assert rep.details["mapped_coherence"] <= 1e-10
+    assert rep is not None
+    assert rep["ok"]
+    assert rep["mapped_coherence"] <= 1e-10
 
 
 def test_prop1_single_column_mode_is_vacuous():
     T = random_orthogonal_tucker((10, 10), (1, 2), np.random.default_rng(4))
     E = make_embedding("srft", 10, 10, rng.stream(9))
     rep = check_prop1(T, E, mode=0, eps=0.4)
-    assert rep.passed
+    assert rep is not None and rep["ok"]
 
 
 @pytest.mark.parametrize("family", ["gaussian", "srft"])
@@ -150,11 +149,11 @@ def test_prop1_norm_shift_matches_dense_route(family):
         j = t % 3
         E = make_embedding(family, dims[j], dims[j] - 2, rng.stream(t))
         rep = check_prop1(T, E, j, eps=0.6)
-        if rep.discarded:
+        if rep is None:
             continue
         Y = reconstruct(T)
         want = abs(norm(mode_multiply(Y, E, j)) ** 2 - norm(Y) ** 2)
-        assert abs(rep.details["norm_shift"] - want) <= 1e-10 * want
+        assert abs(rep["norm_shift"] - want) <= 1e-10 * want
         checked += 1
         if checked == 20:
             break
@@ -190,38 +189,36 @@ def test_prop1_suite_zero_violations():
 
 
 def test_multimode_distortion_orthogonal_embeddings_never_fail():
-    p = params(embed_dims=(16, 16, 16), trials=15)
-    rep = check_multimode_distortion(p, family="srft")
+    rep = multimode(embed_dims=(16, 16, 16), trials=15, family="srft")
     assert rep.failures == 0
     assert max(rep.distortions) <= 1e-10
 
 
 def test_multimode_distortion_deterministic():
-    p = params(embed_dims=(8, 8, 8), trials=25, seed=11)
-    r1 = check_multimode_distortion(p, family="gaussian")
-    r2 = check_multimode_distortion(p, family="gaussian")
+    r1 = multimode(trials=25, seed=11)
+    r2 = multimode(trials=25, seed=11)
     assert r1.distortions == r2.distortions
     assert r1.threshold == pytest.approx(0.1 + 2 * math.sqrt(0.09 / 25))
     # trial t draws depend on (seed, t) alone: 4 trials are the first 4 of 10
     X, core, factors = oblique_problem((6, 7, 8), (2, 3, 2), 12)
-    q = params(eps=0.6, eta=0.2, dims=(6, 7, 8), ranks=(2, 3, 2), embed_dims=(4, 5, 6), seed=13, y_samples=5)
+    q = dict(embed_dims=(4, 5, 6), eps=0.6, eta=0.2, seed=13, y_samples=5)
     for family in ("gaussian", "srft"):
-        short, full = (check_multimode_distortion(replace(p, trials=k), family) for k in (4, 10))
+        short, full = (multimode(trials=k, seed=11, family=family) for k in (4, 10))
         assert short.distortions == full.distortions[:4]
-        short, full = (check_residual_distortion(X, replace(q, trials=k), core, factors, 1, family) for k in (4, 10))
+        short, full = (check_residual_distortion(X, core, factors, 1, trials=k, family=family, **q) for k in (4, 10))
         assert short.distortions == full.distortions[:4]
     assert run_lemma21_suite(trials=4, seed=11).distortions == run_lemma21_suite(trials=10, seed=11).distortions[:4]
 
 
 def test_multimode_distortion_rejects_inadmissible_eps():
-    p = params(eps=1.5, embed_dims=(8, 8, 8))
     with pytest.raises(ValueError, match="admissible"):
-        check_multimode_distortion(p, family="gaussian")
+        multimode(eps=1.5)
 
 
 def test_multimode_distortion_requires_embed_dims():
+    # one embedding size per mode
     with pytest.raises(ValueError, match="embed_dims"):
-        check_multimode_distortion(params(), family="gaussian")
+        multimode(embed_dims=(8, 8))
 
 
 def test_residual_distortion_candidates_never_degenerate():
@@ -229,11 +226,9 @@ def test_residual_distortion_candidates_never_degenerate():
     dims, ranks = (10, 10, 10), (2, 2, 2)
     X = gen.standard_normal(dims)
     sub = random_orthogonal_tucker(dims, ranks, gen)
-    p = BoundParams(
-        eps=0.6, eta=0.2, dims=dims, ranks=ranks, trials=8,
-        embed_dims=(10, 10, 10), seed=3, y_samples=5,
+    rep = check_residual_distortion(
+        X, sub.core, sub.factors, 0, (10, 10, 10), eps=0.6, eta=0.2, trials=8, seed=3, y_samples=5, family="srft"
     )
-    rep = check_residual_distortion(X, p, sub.core, sub.factors, mode=0, family="srft")
     # orthogonal embeddings: distortion identically ~0, and every trial counted
     assert rep.trials == 8
     assert max(rep.distortions) <= 1e-10
@@ -248,9 +243,9 @@ def assert_rel_close(got, want, rel=1e-10):
 
 @pytest.mark.parametrize("family", ["gaussian", "srft"])
 def test_multimode_distortion_matches_dense_oracle(family):
-    p = params(dims=(6, 7, 8), ranks=(2, 3, 2), embed_dims=(4, 5, 6), trials=8, seed=31)
-    rep = check_multimode_distortion(p, family)
-    assert_rel_close(rep.distortions, multimode_distortion_oracle(p, family))
+    shape = dict(dims=(6, 7, 8), ranks=(2, 3, 2), embed_dims=(4, 5, 6), trials=8, seed=31, family=family)
+    rep = multimode(**shape)
+    assert_rel_close(rep.distortions, multimode_distortion_oracle(**shape))
 
 
 def oblique_problem(dims, ranks, seed):
@@ -267,9 +262,9 @@ def oblique_problem(dims, ranks, seed):
 def test_residual_distortion_matches_dense_oracle(family, mode):
     dims, ranks = (6, 7, 8), (2, 3, 2)
     X, core, factors = oblique_problem(dims, ranks, 40 + mode)
-    p = params(eps=0.6, eta=0.2, dims=dims, ranks=ranks, embed_dims=(4, 5, 6), trials=6, seed=7, y_samples=5)
-    rep = check_residual_distortion(X, p, core, factors, mode, family)
-    assert_rel_close(rep.distortions, residual_distortion_oracle(X, p, core, factors, mode, family))
+    trial = dict(embed_dims=(4, 5, 6), trials=6, seed=7, y_samples=5, family=family)
+    rep = check_residual_distortion(X, core, factors, mode, eps=0.6, eta=0.2, **trial)
+    assert_rel_close(rep.distortions, residual_distortion_oracle(X, core, factors, mode, **trial))
 
 
 def test_residual_distortion_accurate_when_candidate_nearly_equals_x():
@@ -277,35 +272,35 @@ def test_residual_distortion_accurate_when_candidate_nearly_equals_x():
     # evaluates ||X - Y|| as norms of differences, so no digits cancel
     dims, ranks, mode = (6, 7, 8), (2, 3, 2), 1
     _, core, factors = oblique_problem(dims, ranks, 50)
-    p = params(eps=0.6, eta=0.2, dims=dims, ranks=ranks, embed_dims=(4, 5, 6), trials=1, seed=9, y_samples=1)
+    trial = dict(embed_dims=(4, 5, 6), trials=1, seed=9, y_samples=1, family="gaussian")
     # replay trial 0's stream: the embeddings come first, then the candidate
-    gen = rng.stream(p.seed, rng.TRIAL, 0)
-    _trial_embeddings(p, "gaussian", gen)
+    gen = _trial(9, 0)
+    _trial_embeddings("gaussian", dims, (4, 5, 6), gen)
     fs = list(factors)
     fs[mode] = np.linalg.qr(gen.standard_normal((dims[mode], ranks[mode])))[0]
     Y = reconstruct(TuckerDecomposition(core, fs))
     X = Y + 1e-6 * np.linalg.norm(Y) * np.random.default_rng(51).standard_normal(dims) / np.sqrt(Y.size)
-    rep = check_residual_distortion(X, p, core, factors, mode, "gaussian")
-    assert_rel_close(rep.distortions, residual_distortion_oracle(X, p, core, factors, mode, "gaussian"), rel=1e-8)
+    rep = check_residual_distortion(X, core, factors, mode, eps=0.6, eta=0.2, **trial)
+    assert_rel_close(rep.distortions, residual_distortion_oracle(X, core, factors, mode, **trial), rel=1e-8)
 
 
 def test_residual_distortion_embedding_dim_below_rank():
     # embedded factors are 2-by-3: not a valid decomposition, still a valid check
     dims, ranks = (8, 8, 8), (3, 3, 3)
     X, core, factors = oblique_problem(dims, ranks, 80)
-    p = params(eps=0.6, eta=0.2, dims=dims, ranks=ranks, embed_dims=(2, 2, 2), trials=6, seed=11, y_samples=5)
-    rep = check_residual_distortion(X, p, core, factors, 0, "gaussian")
+    trial = dict(embed_dims=(2, 2, 2), trials=6, seed=11, y_samples=5, family="gaussian")
+    rep = check_residual_distortion(X, core, factors, 0, eps=0.6, eta=0.2, **trial)
     assert rep.trials == 6
-    assert_rel_close(rep.distortions, residual_distortion_oracle(X, p, core, factors, 0, "gaussian"))
+    assert_rel_close(rep.distortions, residual_distortion_oracle(X, core, factors, 0, **trial))
 
 
 def test_residual_distortion_rejects_mismatched_factors():
     X, core, factors = oblique_problem((6, 7, 8), (2, 3, 2), 81)
-    p = params(eps=0.6, eta=0.2, dims=(6, 7, 8), ranks=(2, 3, 2), embed_dims=(4, 5, 6), trials=1)
+    setting = dict(embed_dims=(4, 5, 6), eps=0.6, eta=0.2, trials=1)
     with pytest.raises(ValueError, match="factor shapes"):
-        check_residual_distortion(X, p, core, [factors[0], factors[1], factors[2][:5]], 0)
+        check_residual_distortion(X, core, [factors[0], factors[1], factors[2][:5]], 0, **setting)
     with pytest.raises(ValueError, match="factor shapes"):
-        check_residual_distortion(X, p, core, factors[:2], 0)
+        check_residual_distortion(X, core, factors[:2], 0, **setting)
 
 
 @pytest.mark.parametrize("mode", [0, 1, 2])

@@ -148,15 +148,57 @@ def test_verify_rejects_bound_flag_the_suite_does_not_take(suite, flag, capsys):
 
 
 def test_verify_family_flag_reaches_the_suite(tmp_path):
-    out = tmp_path / "th4.json"
-    assert main(["verify", "--suite", "th4", "--family", "srft", "--trials", "5",
-                 "--out", str(out)]) == 0
-    library = bounds.run_th4_suite(trials=5, seed=1, family="srft")
-    assert json.loads(out.read_text()) == json.loads(json.dumps(library.to_dict()))
+    # every suite's --out file is the library report byte for byte: --seed
+    # and --family pass through, and --trials is prop1's target
+    out = tmp_path / "report.json"
+    runs = {
+        "lemma21": (bounds.run_lemma21_suite, "trials"),
+        "lemma-a": (bounds.run_lemma_a_suite, "trials"),
+        "prop1": (bounds.run_prop1_suite, "target"),
+        "th1": (bounds.run_th1_suite, "trials"),
+        "th4": (bounds.run_th4_suite, "trials"),
+    }
+    for suite, (run, trials_kw) in runs.items():
+        family = {} if suite == "lemma21" else {"family": "srft"}
+        flags = [f"--{k}={v}" for k, v in family.items()]
+        assert main(["verify", "--suite", suite, *flags, "--trials", "5", "--seed", "2",
+                     "--out", str(out)]) == 0
+        library = run(**{trials_kw: 5}, seed=2, **family)
+        assert out.read_text() == json.dumps(library.to_dict(), indent=2)
     assert library.details["family"] == "srft"
     # unset, the suite keeps its own default family
     assert main(["verify", "--suite", "th4", "--trials", "5", "--out", str(out)]) == 0
     assert json.loads(out.read_text())["details"]["family"] == "gaussian"
+
+
+@pytest.mark.parametrize("command", ["verify-lemma21", "verify-th4", "bench", "decompose"])
+def test_negative_seed_is_one_clear_error(command, tmp_path, capsys):
+    # hooi-re and the suites used to fail with numpy's bare "expected
+    # non-negative integer"; hosvd and hooi accepted the seed
+    x_path = tmp_path / "x.tkr"
+    write_tensor(x_path, synth_tensor((6, 6, 6), (2, 2, 2), 0.1, 8))
+    out = tmp_path / "run.csv"
+    argv = {
+        "verify-lemma21": ["verify", "--suite", "lemma21", "--trials", "2"],
+        "verify-th4": ["verify", "--suite", "th4", "--trials", "2"],
+        "bench": ["bench", "--input", str(x_path), "--methods", "hooi,hooi-re", "--ranks", "2",
+                  "--dr-grid", "0.5", "--reps", "1", "--out", str(out)],
+        "decompose": ["decompose", "--input", str(x_path), "--method", "hooi-re", "--ranks", "2,2,2",
+                      "--dr", "0.5"],
+    }[command]
+    assert main(argv + ["--seed", "-1"]) == 1
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert "error: seed must be a non-negative integer, got -1" in captured.err
+    assert not out.exists()
+
+
+def test_decompose_rejects_nan_tol(tmp_path, capsys):
+    # a nan tolerance never stopped a run: it silently went to --max-iters
+    x_path = tmp_path / "x.tkr"
+    write_tensor(x_path, synth_tensor((6, 6, 6), (2, 2, 2), 0.1, 8))
+    assert main(["decompose", "--input", str(x_path), "--ranks", "2,2,2", "--tol", "nan"]) == 1
+    assert "error: rel_tol must be a non-negative number, got nan" in capsys.readouterr().err
 
 
 def test_verify_lemma21_rejects_family(capsys):

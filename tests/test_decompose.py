@@ -6,8 +6,10 @@ import tracemalloc
 import numpy as np
 import pytest
 
+from tuckersketch import rng
 from tuckersketch.bench import synth_tensor
 from tuckersketch.decompose import (
+    METHODS,
     STAGES,
     DecomposerConfig,
     decompose,
@@ -58,6 +60,37 @@ def test_non_integer_max_iters_rejected_by_validation():
             decompose(X, DecomposerConfig(ranks=(2, 2, 2), max_iters=max_iters))
     _, report = decompose(X, DecomposerConfig(ranks=(2, 2, 2), max_iters=np.int64(2), rel_tol=0.0))
     assert report.iterations == 2
+
+
+def test_nan_or_negative_rel_tol_rejected():
+    # under nan every stop test was false, so each run went to max_iters
+    X = noisy_tensor((6, 5, 4), (2, 2, 2), 0.1, 3)
+    for rel_tol in (float("nan"), -1e-5):
+        with pytest.raises(ValueError, match="rel_tol must be a non-negative number"):
+            decompose(X, DecomposerConfig(ranks=(2, 2, 2), rel_tol=rel_tol))
+    _, report = decompose(X, DecomposerConfig(ranks=(2, 2, 2), max_iters=3, rel_tol=0.0))
+    assert report.iterations == 3
+
+
+@pytest.mark.parametrize("method", METHODS)
+def test_bad_seed_rejected_by_every_method(method):
+    # -1 used to pass hosvd and hooi and reach numpy's bare message in
+    # hooi-re; 1.5 ran as seed 1
+    X = noisy_tensor((6, 5, 4), (2, 2, 2), 0.1, 3)
+    for seed in (-1, 1.5, np.int64(-2), "3"):
+        with pytest.raises(ValueError, match=f"^seed must be a non-negative integer, got {seed}$"):
+            decompose(X, DecomposerConfig(ranks=(2, 2, 2), method=method, dr=0.5, seed=seed))
+    # numpy integers are seeds like any other
+    a, b = (decompose(X, DecomposerConfig(ranks=(2, 2, 2), method=method, dr=0.5, seed=s))[1] for s in (4, np.int64(4)))
+    assert a.final_error == b.final_error
+
+
+def test_rng_rejects_bad_seed_with_one_message():
+    for derive in (rng.stream, rng.child_seed):
+        for seed in (-1, 1.5, np.int64(-2), "3"):
+            with pytest.raises(ValueError, match=f"^seed must be a non-negative integer, got {seed}$"):
+                derive(seed, 0)
+    assert rng.child_seed(np.uint32(7), 1) == rng.child_seed(7, 1)
 
 
 def test_complex_input_rejected():
