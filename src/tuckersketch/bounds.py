@@ -134,10 +134,6 @@ def _plain(obj):
     return obj
 
 
-def _binomial_threshold(eta: float, trials: int) -> float:
-    return eta + 2.0 * math.sqrt(eta * (1.0 - eta) / trials)
-
-
 def max_admissible_eps(rmax: int, order: int) -> float:
     """Largest eps the multimode subspace guarantee covers."""
     return math.log(2.0) / (1.0 / rmax + 0.5 + 1.0 / (order * rmax))
@@ -158,8 +154,13 @@ def embedding_dim_bound(eps: float, eta: float, ranks) -> list[int]:
     """
     _validate(eps, eta, ranks)
     q = len(ranks)
-    lead = max(ranks) ** 2 * q**2 / eps**2
-    return [max(1, math.ceil(lead * math.log(r**2 * q / eta))) for r in ranks]
+    rmax = max(ranks)
+    lead = rmax**2 * q**2 / eps**2
+    out = []
+    for r in ranks:
+        val = lead * math.log(r**2 * q / eta)
+        out.append(max(1, math.ceil(val)))
+    return out
 
 
 def residual_embedding_dim_bound(eps: float, eta: float, dims, p_dim: int) -> int:
@@ -173,7 +174,8 @@ def residual_embedding_dim_bound(eps: float, eta: float, dims, p_dim: int) -> in
     if p_dim < 1:
         raise ValueError("subspace dimension must be at least 1")
     q = len(dims)
-    val = (q + 1) ** 3 * p_dim / eps**2 * math.log(4.0 * max(dims) / eta ** (1.0 / (q + 1)))
+    nmax = max(dims)
+    val = (q + 1) ** 3 * p_dim / eps**2 * math.log(4.0 * nmax / eta ** (1.0 / (q + 1)))
     return max(1, math.ceil(val))
 
 
@@ -281,21 +283,32 @@ def _sq_norm_on_core(core: np.ndarray, factors) -> float:
     return inner(core, multi_mode_multiply(core, [A.T @ A for A in factors]))
 
 
-def _tail_report(name, eps, eta, trials, seed, limit, distortion, details) -> BoundReport:
+def _tail_report(
+    name, distortion, admissible_eps, ranks, embed_dims, eps, eta, trials, seed, family, **details
+) -> BoundReport:
     """Tail check shared by the multimode and residual distortion checks.
 
     Runs ``distortion(gen)`` on every trial's stream; passing means the
     fraction of trials whose distortion exceeds eps is at most eta plus
-    binomial slack.  Raises if eps exceeds ``limit``, the top of the
-    range the checked guarantee covers.
+    binomial slack.  Raises if eps exceeds
+    ``admissible_eps(max(ranks), len(embed_dims))``, the range of the
+    guarantee checked.
     """
+    limit = admissible_eps(max(ranks), len(embed_dims))
     if eps > limit:
         raise ValueError(f"eps={eps} exceeds admissible bound {limit:.4f}")
     distortions = [distortion(_trial(seed, t)) for t in range(trials)]
     failures = sum(1 for d in distortions if d > eps)
-    threshold = _binomial_threshold(eta, trials)
-    return BoundReport(name, trials, failures, threshold=threshold, passed=failures / trials <= threshold,
-                       distortions=distortions, details=details)
+    threshold = eta + 2.0 * math.sqrt(eta * (1.0 - eta) / trials)
+    return BoundReport(
+        name=name,
+        trials=trials,
+        failures=failures,
+        threshold=threshold,
+        passed=failures / trials <= threshold,
+        distortions=distortions,
+        details={"family": family, "embed_dims": list(embed_dims), **details},
+    )
 
 
 def _trial_embeddings(family: str, dims, embed_dims, gen: np.random.Generator) -> list[np.ndarray]:
@@ -329,8 +342,7 @@ def check_multimode_distortion(
         return abs(_sq_norm_on_core(T.core, embedded) - sq) / sq
 
     return _tail_report(
-        "multimode-distortion", eps, eta, trials, seed, max_admissible_eps(max(ranks), len(dims)),
-        distortion, {"family": family, "embed_dims": list(embed_dims)},
+        "multimode-distortion", distortion, max_admissible_eps, ranks, embed_dims, eps, eta, trials, seed, family
     )
 
 
@@ -421,8 +433,8 @@ def check_residual_distortion(
         return float(np.max(np.abs(lsq[keep] - sq[keep]) / sq[keep], initial=0.0))
 
     return _tail_report(
-        "residual-distortion", eps, eta, trials, seed, max_admissible_residual_eps(max(core.shape), X.ndim),
-        worst_distortion, {"family": family, "embed_dims": list(embed_dims), "y_samples": y_samples},
+        "residual-distortion", worst_distortion, max_admissible_residual_eps, core.shape, embed_dims,
+        eps, eta, trials, seed, family, y_samples=y_samples,
     )
 
 
@@ -485,7 +497,14 @@ def _implication_suite(name: str, seed: int, check, draws: int, target: int = 0)
             held.append(found)
     failures = sum(1 for c in held if not c["ok"])
     passed = failures == 0 and len(held) >= max(target, 1)
-    report = BoundReport(name, t, failures, discarded=t - len(held), passed=passed, details={"satisfied": len(held)})
+    report = BoundReport(
+        name=name,
+        trials=t,
+        failures=failures,
+        discarded=t - len(held),
+        passed=passed,
+        details={"satisfied": len(held)},
+    )
     return report, held
 
 

@@ -148,8 +148,9 @@ def test_verify_rejects_bound_flag_the_suite_does_not_take(suite, flag, capsys):
 
 
 def test_verify_family_flag_reaches_the_suite(tmp_path):
-    # every suite's --out file is the library report byte for byte: --seed
-    # and --family pass through, and --trials is prop1's target
+    # every suite's --out file is the library report byte for byte at the
+    # CLI's default seed of 1: --family passes through, and --trials is
+    # prop1's target
     out = tmp_path / "report.json"
     runs = {
         "lemma21": (bounds.run_lemma21_suite, "trials"),
@@ -161,13 +162,13 @@ def test_verify_family_flag_reaches_the_suite(tmp_path):
     for suite, (run, trials_kw) in runs.items():
         family = {} if suite == "lemma21" else {"family": "srft"}
         flags = [f"--{k}={v}" for k, v in family.items()]
-        assert main(["verify", "--suite", suite, *flags, "--trials", "5", "--seed", "2",
-                     "--out", str(out)]) == 0
-        library = run(**{trials_kw: 5}, seed=2, **family)
+        assert main(["verify", "--suite", suite, *flags, "--trials", "5", "--out", str(out)]) == 0
+        library = run(**{trials_kw: 5}, seed=1, **family)
         assert out.read_text() == json.dumps(library.to_dict(), indent=2)
     assert library.details["family"] == "srft"
-    # unset, the suite keeps its own default family
-    assert main(["verify", "--suite", "th4", "--trials", "5", "--out", str(out)]) == 0
+    # --family unset, the suite keeps its own default family; --seed passes through
+    assert main(["verify", "--suite", "th4", "--trials", "5", "--seed", "2", "--out", str(out)]) == 0
+    assert out.read_text() == json.dumps(bounds.run_th4_suite(trials=5, seed=2).to_dict(), indent=2)
     assert json.loads(out.read_text())["details"]["family"] == "gaussian"
 
 
