@@ -48,15 +48,19 @@ def synth_tensor(dims, ranks, noise_sigma: float, seed: int) -> np.ndarray:
     seed reproduces the signal exactly, which is how tests separate the
     two parts.
     """
-    dims = tuple(int(n) for n in dims)
-    ranks = tuple(int(r) for r in ranks)
+    dims, ranks = tuple(dims), tuple(ranks)
+    for name, values in (("dims", dims), ("ranks", ranks)):
+        if not all(isinstance(v, (int, np.integer)) for v in values):
+            raise ValueError(f"{name} must be integers, got {values}")
     if len(dims) != len(ranks):
         raise ValueError("dims and ranks must have equal length")
     for n, r in zip(dims, ranks):
         if not 1 <= r <= n:
             raise ValueError(f"rank {r} invalid for dimension {n}")
-    if noise_sigma < 0:
-        raise ValueError("noise level must be nonnegative")
+    # nan > 0 is False: a nan level used to write a tensor with no noise
+    if not (np.isfinite(noise_sigma) and noise_sigma >= 0):
+        raise ValueError(f"noise level must be a finite nonnegative number, got {noise_sigma}")
+    dims, ranks = tuple(int(n) for n in dims), tuple(int(r) for r in ranks)
     X = reconstruct(random_orthogonal_tucker(dims, ranks, rng.stream(seed, _SIGNAL)))
     if noise_sigma > 0:
         X = X + noise_sigma * rng.stream(seed, _NOISE).standard_normal(dims)

@@ -6,8 +6,8 @@ returns factors with orthonormal columns plus a run report.  The methods
 differ only in the compressed modes, the number of sweeps and the data
 the core is fitted to:
 
-* ``hosvd``         the default initial guess on the raw tensor followed
-                    by zero sweeps.
+* ``hosvd``         the classic truncated HOSVD on the raw tensor (every
+                    factor from a full-size unfolding) and zero sweeps.
 * ``hooi``          no compressed mode: mixing and unmixing are the
                     identity, no rows are sampled, and each sweep is the
                     classic alternating scheme on the raw tensor.
@@ -21,6 +21,13 @@ the core is fitted to:
                     smaller than the rank.
 * ``hooi-re-star``  identical sweeps, but the core update projects the
                     full mixed tensor instead of the sketched one.
+
+The iterative methods start by default from the sequentially truncated
+HOSVD (ST-HOSVD, Vannieuwenhoven, Vandebril & Meerbergen 2012), sketched
+along the compressed modes as in the randomized ST-HOSVD of Minster,
+Saibaba & Kilmer (2020): mode j's factor is taken from the working
+tensor already projected onto the factors of modes < j, so only mode 0
+unfolds a full-size tensor.
 
 Factor updates are the closed-form polar solution of each block
 least-squares problem: with every other quantity held fixed, the best
@@ -69,7 +76,7 @@ import numpy as np
 
 from . import rng
 from .embeddings import draw_sample_rows, draw_signs, mix, sample_size, unmix_factor
-from .tensor import as_tensor, inner, matricize, multi_mode_multiply, norm
+from .tensor import as_tensor, inner, matricize, mode_multiply, multi_mode_multiply, norm
 from .tucker import TuckerDecomposition, reconstruct
 
 __all__ = [
@@ -260,34 +267,43 @@ def _timed(times: dict[str, float], key: str):
 def _initial_guess(Xw: np.ndarray, config: DecomposerConfig, samples):
     """Starting factors and core on the (possibly mixed) working tensor.
 
-    ``samples`` are the iteration-0 row samples of the compressed modes
-    (none when nothing is compressed, which makes this the truncated
-    HOSVD).  The default sketches the working tensor along the other
-    modes, then takes each factor from one R-only QR of the (sketched)
-    mode-j unfolding's transpose plus the SVD of its n_j x n_j triangle;
-    the core starts from the same least-squares problem the first sweep
-    will solve.  ``init="random"`` draws orthonormal bases instead,
-    except for ``hosvd``, which is the default init by definition.
+    Each factor comes from one R-only QR of a mode-j unfolding's
+    transpose plus the SVD of its n_j x n_j triangle.  ``hosvd`` unfolds
+    the full tensor in every mode: the classic truncated HOSVD.  The
+    iterative methods take the sequentially truncated HOSVD instead
+    (ST-HOSVD, sketched as in the randomized ST-HOSVD): in mode order,
+    factor j comes from the working tensor already projected onto the
+    factors of modes < j and row-sampled along the compressed modes > j
+    with ``samples``, the iteration-0 row samples (none when nothing is
+    compressed).  Only mode 0 unfolds a full-size tensor.
+    ``init="random"`` draws orthonormal bases instead, except for
+    ``hosvd``.  The core starts from the same least-squares problem the
+    first sweep will solve.
     """
-    if config.init == "random" and config.method != "hosvd":
+    if config.method == "hosvd":
+        factors = [_leading_left_vectors(matricize(Xw, j), r) for j, r in enumerate(config.ranks)]
+    elif config.init == "random":
         factors = []
         for j, r in enumerate(config.ranks):
             G = rng.stream(config.seed, rng.INIT, j).standard_normal((Xw.shape[j], r))
             factors.append(_fix_sign(np.linalg.qr(G)[0]))
     else:
-        factors = [
-            _leading_left_vectors(matricize(_sketch(Xw, samples, skip=j), j), r)
-            for j, r in enumerate(config.ranks)
-        ]
+        factors, Y = [], Xw
+        for j, r in enumerate(config.ranks):
+            if j:  # shrink the finished mode: Y = Xw x_{k<j} U_k^T
+                Y = mode_multiply(Y, factors[-1].T, j - 1)
+            later = {k: rows for k, rows in samples.items() if k > j}
+            factors.append(_leading_left_vectors(matricize(_sketch(Y, later), j), r))
     core = _core(_sketch(Xw, samples), _sketched_factors(factors, samples), bool(samples))
     return factors, core
 
 
 def hosvd(X, ranks) -> TuckerDecomposition:
-    """Truncated higher-order SVD baseline.
+    """Truncated higher-order SVD baseline, the paper's.
 
-    Factor j holds the leading left singular vectors of the mode-j
-    unfolding; the core is the projection of ``X`` onto those bases.
+    Factor j holds the leading left singular vectors of the full mode-j
+    unfolding, not the sequentially truncated one the iterative methods
+    start from; the core is the projection of ``X`` onto those bases.
     """
     return decompose(X, DecomposerConfig(ranks=tuple(ranks), method="hosvd"))[0]
 

@@ -48,6 +48,18 @@ def mode_multiply_oracle(X, B, mode):
     return out
 
 
+def st_hosvd_oracle(X, ranks):
+    """Sequentially truncated HOSVD factors: in mode order, the leading
+    left singular vectors (thin SVD) of the mode-j unfolding of ``X``
+    already projected onto the factors of modes < j."""
+    Y, factors = X, []
+    for j, r in enumerate(ranks):
+        U = np.linalg.svd(matricize_oracle(Y, j), full_matrices=False)[0][:, :r]
+        factors.append(U)
+        Y = mode_multiply_oracle(Y, U.T, j)
+    return factors
+
+
 def integer_tensor(gen, shape, low=-4, high=5):
     """Random small-integer tensor; float64 arithmetic on it is exact."""
     return gen.integers(low, high, size=shape).astype(np.float64)

@@ -63,6 +63,26 @@ def test_synth_validation():
         synth_tensor((4,), (2, 2), 0.0, 0)
 
 
+@pytest.mark.parametrize("noise", [np.nan, np.inf])
+def test_synth_rejects_non_finite_noise(noise):
+    # nan > 0 is False, so a nan level used to write a tensor with no
+    # noise; an inf level wrote inf entries
+    with pytest.raises(ValueError, match="noise level must be a finite nonnegative number"):
+        synth_tensor((4, 4), (2, 2), noise, 0)
+
+
+@pytest.mark.parametrize("dims, ranks", [((4.9, 4), (2, 2)), ((4, 4), (2.5, 2)), ((4, 4.0), (2, 2))])
+def test_synth_rejects_non_integer_dims_and_ranks(dims, ranks):
+    # int() used to truncate 4.9 to 4 and 2.5 to 2 without a word
+    with pytest.raises(ValueError, match="must be integers"):
+        synth_tensor(dims, ranks, 0.0, 0)
+
+
+def test_synth_accepts_numpy_integers():
+    X = synth_tensor(np.array([5, 4, 3]), (np.int32(2), np.int64(2), 1), np.float32(0.1), 3)
+    np.testing.assert_array_equal(X, synth_tensor((5, 4, 3), (2, 2, 1), float(np.float32(0.1)), 3))
+
+
 def test_bench_config_validation():
     X = np.ones((6, 6, 6))
     with pytest.raises(ValueError):

@@ -194,6 +194,15 @@ def test_negative_seed_is_one_clear_error(command, tmp_path, capsys):
     assert not out.exists()
 
 
+def test_synth_rejects_nan_noise(tmp_path, capsys):
+    # a nan level used to exit 0 and write a tensor with no noise
+    out = tmp_path / "x.tkr"
+    argv = ["synth", "--dims", "4,4,4", "--ranks", "2,2,2", "--noise", "nan", "--out", str(out)]
+    assert main(argv) == 1
+    assert "error: noise level must be a finite nonnegative number, got nan" in capsys.readouterr().err
+    assert not out.exists()
+
+
 def test_decompose_rejects_nan_tol(tmp_path, capsys):
     # a nan tolerance never stopped a run: it silently went to --max-iters
     x_path = tmp_path / "x.tkr"

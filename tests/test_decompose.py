@@ -19,6 +19,8 @@ from tuckersketch.decompose import (
 from tuckersketch.tensor import inner, norm
 from tuckersketch.tucker import TuckerDecomposition, reconstruct
 
+from oracles import matricize_oracle, st_hosvd_oracle
+
 
 def noisy_tensor(dims, ranks, noise, seed):
     return synth_tensor(dims, ranks, noise, seed)
@@ -367,6 +369,26 @@ def test_init_kernel_matches_the_thin_svd(name):
     assert np.max(np.abs(U[:, :k] - ref)) <= 1e-9
 
 
+def _subspace_distance(U, V):
+    """Spectral norm of the part of span(U) outside span(V), both orthonormal."""
+    return np.linalg.norm(U - V @ (V.T @ U), 2)
+
+
+def test_init_is_sequentially_truncated_except_for_hosvd():
+    # the iterative methods start from the ST-HOSVD; hosvd, the paper's
+    # baseline, stays the classic truncated HOSVD of the full unfoldings.
+    # At this noise level the two inits differ measurably past mode 0.
+    X, ranks = noisy_tensor((12, 10, 8), (3, 3, 3), 0.1, 28), (3, 3, 3)
+    st = st_hosvd_oracle(X, ranks)
+    classic = [np.linalg.svd(matricize_oracle(X, j))[0][:, :r] for j, r in enumerate(ranks)]
+    assert min(_subspace_distance(st[j], classic[j]) for j in (1, 2)) >= 1e-3
+    init, _ = decompose_module._initial_guess(X, DecomposerConfig(ranks=ranks, method="hooi"), {})
+    baseline = hosvd(X, ranks).factors
+    for j in range(3):
+        assert _subspace_distance(init[j], st[j]) <= 1e-10
+        assert _subspace_distance(baseline[j], classic[j]) <= 1e-10
+
+
 def _count_dense_residuals(monkeypatch) -> list:
     """Record the shape of every dense residual the solver falls back to."""
     calls = []
@@ -417,3 +439,18 @@ def test_sketched_run_keeps_one_working_copy():
     finally:
         tracemalloc.stop()
     assert peak <= 2.0 * X.nbytes
+
+
+def test_hooi_init_unfolds_one_full_size_tensor():
+    # the sequentially truncated init unfolds only mode 0 at full size; the
+    # classic HOSVD init peaked at 2.0x here, with mode 1 of an F-ordered
+    # tensor a copy and numpy's QR copying it again
+    X = np.asfortranarray(noisy_tensor((64, 64, 64), (4, 4, 4), 0.05, 27))
+    config = DecomposerConfig(ranks=(4, 4, 4), method="hooi", seed=1)
+    tracemalloc.start()
+    try:
+        decompose(X, config)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak <= 1.5 * X.nbytes
