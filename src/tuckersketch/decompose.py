@@ -96,6 +96,19 @@ STAGES = ("embed_generate", "embed_apply", "factor_update", "core_update")
 _PINV_RCOND = 1e-12
 # below this share of ||Xw||^2 the expanded residual is rounding noise
 _CANCELLATION = 1e-6
+# Forming G = M M^T and diagonalising it perturbs G by ~c u lambda_1
+# (u = 1.1e-16, c a modest growth factor), and by the Davis-Kahan sin-theta
+# bound each kept eigenvector then turns by at most that over its gap to
+# the rest of the spectrum.  Gaps above _GRAM_GAP lambda_1 thus bound the
+# column error by ~c u / _GRAM_GAP = c 1.1e-10 (c <= 3 measured on 120 x
+# 14400 unfoldings), under the 1e-9 the kernel is tested to; where the top
+# spectrum is that clustered the R-SVD's own error is as large.  Graded
+# spectra, whose small gaps only the R-SVD resolves, fail the guard.
+_GRAM_GAP = 1e-6
+# lambda_1 eps, the rounding level the gaps are read against, stays normal
+_GRAM_FLOOR = np.finfo(float).tiny / np.finfo(float).eps
+# norms whose square is a normal float64
+_NORM_MIN, _NORM_MAX = np.sqrt(np.finfo(float).tiny), np.sqrt(np.finfo(float).max)
 
 
 @dataclass
@@ -158,6 +171,7 @@ class RunReport:
     fit_trace: list[float] = field(default_factory=list)
     stage_times: dict[str, list[float]] = field(default_factory=dict)
     preprocess_ms: float = 0.0
+    init_kernels: list[str] = field(default_factory=list)  # per mode: "gram" or "r-svd"
 
     def mean_stage_ms(self, stage: str) -> float:
         times = self.stage_times.get(stage, [])
@@ -197,9 +211,27 @@ def _complete_basis(U: np.ndarray, r: int) -> np.ndarray:
     return U
 
 
-def _leading_left_vectors(M: np.ndarray, r: int) -> np.ndarray:
-    """Leading ``r`` left singular vectors of ``M``, from the triangle of an
-    R-only QR of ``M^T`` (Chan's R-SVD): no Q and no V^T of ``M`` is formed."""
+def _leading_left_vectors(M: np.ndarray, r: int, kernels: list | None = None) -> np.ndarray:
+    """Leading ``r`` left singular vectors of the n x K matrix ``M``.
+
+    For a wide ``M`` (r < n <= K) they are the top eigenvectors of the
+    n x n Gram matrix ``M M^T`` (as in TuckerMPI), taken only when its
+    leading eigenvalue is a normal number above ``_GRAM_FLOOR`` and every
+    gap among its r+1 leading eigenvalues exceeds ``_GRAM_GAP`` times the
+    largest.  Otherwise, e.g. on a graded, tied or tall unfolding, they
+    come from the triangle of an R-only QR of ``M^T`` (Chan's R-SVD): no
+    Q and no V^T of ``M`` is formed.  ``kernels`` gets ``"gram"`` or
+    ``"r-svd"`` appended, naming the kernel that ran.
+    """
+    n, K = M.shape
+    gram = r < n <= K
+    if gram:
+        lam, V = np.linalg.eigh(M @ M.T)
+        gram = lam[-1] > _GRAM_FLOOR and np.all(np.diff(lam[-r - 1 :]) > _GRAM_GAP * lam[-1])
+    if kernels is not None:
+        kernels.append("gram" if gram else "r-svd")
+    if gram:
+        return _fix_sign(V[:, : -r - 1 : -1])
     R = np.linalg.qr(M.T, mode="r")
     U = np.linalg.svd(R.T, full_matrices=False)[0][:, :r]
     if U.shape[1] < r:  # fewer columns than the rank: no more singular vectors
@@ -264,24 +296,24 @@ def _timed(times: dict[str, float], key: str):
     times[key] = times.get(key, 0.0) + (time.perf_counter() - t0) * 1e3
 
 
-def _initial_guess(Xw: np.ndarray, config: DecomposerConfig, samples):
+def _initial_guess(Xw: np.ndarray, config: DecomposerConfig, samples, kernels: list | None = None):
     """Starting factors and core on the (possibly mixed) working tensor.
 
-    Each factor comes from one R-only QR of a mode-j unfolding's
-    transpose plus the SVD of its n_j x n_j triangle.  ``hosvd`` unfolds
-    the full tensor in every mode: the classic truncated HOSVD.  The
-    iterative methods take the sequentially truncated HOSVD instead
-    (ST-HOSVD, sketched as in the randomized ST-HOSVD): in mode order,
-    factor j comes from the working tensor already projected onto the
-    factors of modes < j and row-sampled along the compressed modes > j
-    with ``samples``, the iteration-0 row samples (none when nothing is
-    compressed).  Only mode 0 unfolds a full-size tensor.
-    ``init="random"`` draws orthonormal bases instead, except for
-    ``hosvd``.  The core starts from the same least-squares problem the
-    first sweep will solve.
+    Each factor comes from ``_leading_left_vectors`` of a mode-j
+    unfolding (Gram eigensolver or R-SVD), which appends the kernel it
+    ran to ``kernels``.  ``hosvd`` unfolds the full tensor in every
+    mode: the classic truncated HOSVD.  The iterative methods take the
+    sequentially truncated HOSVD instead (ST-HOSVD, sketched as in the
+    randomized ST-HOSVD): in mode order, factor j comes from the working
+    tensor already projected onto the factors of modes < j and
+    row-sampled along the compressed modes > j with ``samples``, the
+    iteration-0 row samples (none when nothing is compressed).  Only
+    mode 0 unfolds a full-size tensor.  ``init="random"`` draws
+    orthonormal bases instead, except for ``hosvd``.  The core starts
+    from the same least-squares problem the first sweep will solve.
     """
     if config.method == "hosvd":
-        factors = [_leading_left_vectors(matricize(Xw, j), r) for j, r in enumerate(config.ranks)]
+        factors = [_leading_left_vectors(matricize(Xw, j), r, kernels) for j, r in enumerate(config.ranks)]
     elif config.init == "random":
         factors = []
         for j, r in enumerate(config.ranks):
@@ -293,7 +325,7 @@ def _initial_guess(Xw: np.ndarray, config: DecomposerConfig, samples):
             if j:  # shrink the finished mode: Y = Xw x_{k<j} U_k^T
                 Y = mode_multiply(Y, factors[-1].T, j - 1)
             later = {k: rows for k, rows in samples.items() if k > j}
-            factors.append(_leading_left_vectors(matricize(_sketch(Y, later), j), r))
+            factors.append(_leading_left_vectors(matricize(_sketch(Y, later), j), r, kernels))
     core = _core(_sketch(Xw, samples), _sketched_factors(factors, samples), bool(samples))
     return factors, core
 
@@ -316,18 +348,26 @@ def _run(X: np.ndarray, config: DecomposerConfig):
     sizes = {j: sample_size(config.dr, X.shape[j]) for j in modes}
     sweeps = 0 if config.method == "hosvd" else config.max_iters
     run: dict[str, float] = {}
+    kernels: list[str] = []
 
     with _timed(run, "mix"):
         signs = {j: draw_signs(rng.stream(config.seed, rng.MIX, j), X.shape[j]) for j in modes}
         Xw = mix(X, signs)
-        x_norm = norm(Xw)
+        with np.errstate(over="ignore"):  # an overflow is rejected below
+            x_norm = norm(Xw)
     # an inf or nan entry makes the norm non-finite (LAPACK hangs on one)
     if not np.isfinite(x_norm) and not np.isfinite(X).all():
         raise ValueError("input tensor must be finite (found inf or nan entries)")
-    if x_norm == 0.0:
+    if x_norm == 0.0 and not X.any():
         raise ValueError("cannot decompose a zero tensor (fit undefined)")
+    # the fits, the residual and the Gram init kernel all square ||X||
+    if not _NORM_MIN <= x_norm < _NORM_MAX:
+        raise ValueError(
+            "the squared Frobenius norm of the input tensor over- or underflows "
+            "float64; rescale the tensor"
+        )
     with _timed(run, "init"):
-        factors, core = _initial_guess(Xw, config, _draw_samples(config.seed, 0, X.shape, sizes))
+        factors, core = _initial_guess(Xw, config, _draw_samples(config.seed, 0, X.shape, sizes), kernels)
 
     stage: dict[str, list[float]] = {name: [] for name in STAGES}
     fit_trace: list[float] = []
@@ -378,6 +418,7 @@ def _run(X: np.ndarray, config: DecomposerConfig):
         fit_trace=fit_trace,
         stage_times={"init": [run["init"]], **stage, "finalize": [run["finalize"]]},
         preprocess_ms=run["mix"],
+        init_kernels=kernels,
     )
     return T, report
 

@@ -318,6 +318,25 @@ def test_non_finite_input_rejected_before_any_factorisation(bad):
             decompose(X, DecomposerConfig(ranks=(2, 2, 2), method=method, dr=0.5))
 
 
+@pytest.mark.parametrize("scale", [1e155, 1e-160, 1e-170])
+def test_norm_out_of_float64_range_rejected_before_any_factorisation(scale, monkeypatch):
+    # finite entries whose squared norm overflows used to give hosvd
+    # final_error = nan and the iterative methods "SVD did not converge";
+    # one that underflows read as a zero tensor (1e-170) or lost digits
+    X = noisy_tensor((8, 8, 8), (2, 2, 2), 0.1, 21) * scale
+    assert np.isfinite(X).all() and X.any()
+
+    def no_factorisation(*args, **kwargs):
+        raise AssertionError("factorised an out-of-range tensor")
+
+    monkeypatch.setattr(decompose_module, "_initial_guess", no_factorisation)
+    for method in ("hosvd", "hooi", "hooi-re", "hooi-re-star"):
+        with pytest.raises(ValueError, match="squared Frobenius norm .* over- or underflows"):
+            decompose(X, DecomposerConfig(ranks=(2, 2, 2), method=method, dr=0.5))
+    with pytest.raises(ValueError, match="zero tensor"):
+        decompose(np.zeros((8, 8, 8)), DecomposerConfig(ranks=(2, 2, 2)))
+
+
 def test_factors_have_the_requested_rank_beyond_the_unfolding_width():
     # a rank above the column count of the (sketched) unfolding used to
     # come back as narrower factors and a smaller core
@@ -367,6 +386,43 @@ def test_init_kernel_matches_the_thin_svd(name):
     assert np.max(np.abs(U.T @ U - np.eye(r))) <= 1e-12
     assert np.linalg.norm(U[:, :k] - ref @ (ref.T @ U[:, :k]), 2) <= 1e-9
     assert np.max(np.abs(U[:, :k] - ref)) <= 1e-9
+
+
+@pytest.mark.parametrize("name", ["wide", "graded", "tied", "tiny", "tall"])
+def test_init_kernel_takes_the_gram_path_only_behind_its_guard(name, monkeypatch):
+    # a well-separated wide unfolding takes eigh(M M^T) and no QR; a graded
+    # spectrum, a tie at the cut, a largest eigenvalue below the floor and a
+    # tall unfolding take the R-SVD
+    gen = np.random.default_rng(5)
+    M, r = {
+        "wide": (gen.standard_normal((30, 400)), 7),
+        "graded": (_graded_matrix((40, 900), np.logspace(0, -7, 6), 1e-9, 4), 6),
+        "tied": (_graded_matrix((40, 900), [1.0, 0.8, 0.6, 0.5, 0.5], 1e-2, 6), 4),
+        "tiny": (1e-160 * gen.standard_normal((30, 400)), 7),
+        "tall": (gen.standard_normal((60, 40)), 5),
+    }[name]
+    qr_calls = []
+    qr = np.linalg.qr
+
+    def counted(*args, **kwargs):
+        qr_calls.append(1)
+        return qr(*args, **kwargs)
+
+    monkeypatch.setattr(np.linalg, "qr", counted)
+    kernels = []
+    U = decompose_module._leading_left_vectors(M, r, kernels)
+    gram = name == "wide"
+    assert kernels == ["gram" if gram else "r-svd"]
+    assert len(qr_calls) == (0 if gram else 1)
+    assert U.shape == (M.shape[0], r)
+    assert np.max(np.abs(U.T @ U - np.eye(r))) <= 1e-12
+    ref = np.linalg.svd(M)[0]
+    if name == "tied":  # no unique rank-r subspace: it holds the leading r-1
+        # singular vectors and lies in the span of the leading r+1
+        assert _subspace_distance(ref[:, : r - 1], U) <= 1e-9
+        assert _subspace_distance(U, ref[:, : r + 1]) <= 1e-9
+    else:
+        assert _subspace_distance(U, ref[:, :r]) <= 1e-9
 
 
 def _subspace_distance(U, V):
@@ -439,6 +495,38 @@ def test_sketched_run_keeps_one_working_copy():
     finally:
         tracemalloc.stop()
     assert peak <= 2.0 * X.nbytes
+
+
+def test_hosvd_peak_stays_near_the_input():
+    # the Gram kernel forms only an n x n Gram matrix per mode; the
+    # R-SVD peaked at 2.0x here, with mode 1 of an F-ordered tensor a copy
+    # and numpy's QR copying it again
+    X = np.asfortranarray(noisy_tensor((64, 64, 64), (4, 4, 4), 0.05, 27))
+    config = DecomposerConfig(ranks=(4, 4, 4), method="hosvd")
+    tracemalloc.start()
+    try:
+        _, report = decompose(X, config)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert report.init_kernels == ["gram"] * 3
+    assert peak <= 1.5 * X.nbytes
+
+
+def test_report_names_the_init_kernel_of_each_mode():
+    # mode 0's unfolding has a tie at the cut (sigma_3 = sigma_4), so only
+    # that mode falls back to the R-SVD; hooi's ST-HOSVD ends on a tall
+    # 20 x 9 unfolding, which the R-SVD takes too
+    M = _graded_matrix((30, 400), [3.0, 2.0, 1.0, 1.0], 0.1, 7)
+    X = M.reshape(30, 20, 20)
+    ranks = (3, 3, 3)
+    _, report = decompose(X, DecomposerConfig(ranks=ranks, method="hosvd"))
+    assert report.init_kernels == ["r-svd", "gram", "gram"]
+    assert json.loads(json.dumps(report.to_dict()))["init_kernels"] == report.init_kernels
+    _, report = decompose(X, DecomposerConfig(ranks=ranks, method="hooi"))
+    assert report.init_kernels == ["r-svd", "gram", "r-svd"]
+    _, report = decompose(X, DecomposerConfig(ranks=ranks, method="hooi", init="random"))
+    assert report.init_kernels == []
 
 
 def test_hooi_init_unfolds_one_full_size_tensor():
