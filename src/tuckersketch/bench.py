@@ -20,7 +20,7 @@ import numpy as np
 
 from . import rng
 from .decompose import METHODS, RANDOMIZED, DecomposerConfig, decompose
-from .tensor import as_tensor
+from .tensor import _check_count, _check_dims, _check_ranks, _check_ratio, as_tensor
 from .tucker import random_orthogonal_tucker, reconstruct
 
 __all__ = [
@@ -48,19 +48,11 @@ def synth_tensor(dims, ranks, noise_sigma: float, seed: int) -> np.ndarray:
     seed reproduces the signal exactly, which is how tests separate the
     two parts.
     """
-    dims, ranks = tuple(dims), tuple(ranks)
-    for name, values in (("dims", dims), ("ranks", ranks)):
-        if not all(isinstance(v, (int, np.integer)) for v in values):
-            raise ValueError(f"{name} must be integers, got {values}")
-    if len(dims) != len(ranks):
-        raise ValueError("dims and ranks must have equal length")
-    for n, r in zip(dims, ranks):
-        if not 1 <= r <= n:
-            raise ValueError(f"rank {r} invalid for dimension {n}")
+    dims = _check_dims(dims)
+    ranks = _check_ranks(ranks, dims)
     # nan > 0 is False: a nan level used to write a tensor with no noise
     if not (np.isfinite(noise_sigma) and noise_sigma >= 0):
         raise ValueError(f"noise level must be a finite nonnegative number, got {noise_sigma}")
-    dims, ranks = tuple(int(n) for n in dims), tuple(int(r) for r in ranks)
     X = reconstruct(random_orthogonal_tucker(dims, ranks, rng.stream(seed, _SIGNAL)))
     if noise_sigma > 0:
         X = X + noise_sigma * rng.stream(seed, _NOISE).standard_normal(dims)
@@ -79,24 +71,19 @@ class BenchConfig:
     def validate(self, shape: tuple[int, ...]) -> None:
         if not self.methods:
             raise ValueError("no methods selected")
-        for m in self.methods:
-            if m not in METHODS:
-                raise ValueError(f"unknown method {m!r}, expected one of {METHODS}")
         if not self.ranks:
             raise ValueError("no ranks selected")
-        # the solver's own rank checks, and its compressed-mode checks
-        # when a randomized method will use them
-        method = next((m for m in self.methods if m in RANDOMIZED), "hooi")
-        for R in self.ranks:
-            DecomposerConfig(ranks=(R,) * len(shape), method=method,
-                             compress_modes=self.compress_modes).validate(shape)
-        if self.reps < 1:
-            raise ValueError("reps must be at least 1")
+        # the solver's own method and rank checks, and its compressed-mode
+        # checks for the randomized methods, which read them
+        for method in self.methods:
+            for R in self.ranks:
+                DecomposerConfig(ranks=(R,) * len(shape), method=method,
+                                 compress_modes=self.compress_modes).validate(shape)
+        _check_count("reps", self.reps)
         if any(m in RANDOMIZED for m in self.methods) and not self.dr_grid:
             raise ValueError("randomized methods need a nonempty dr grid")
         for dr in self.dr_grid:
-            if not 0.0 < dr <= 1.0:
-                raise ValueError(f"dr must be in (0, 1], got {dr}")
+            _check_ratio(dr)
 
 
 @dataclass

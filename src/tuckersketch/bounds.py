@@ -31,7 +31,8 @@ import numpy as np
 
 from . import rng
 from .embeddings import is_eps_jl, make_embedding
-from .tensor import as_tensor, inner, matricize, mode_multiply, multi_mode_multiply, norm
+from .tensor import (_check_count, _check_dims, _check_mode, _check_ranks, as_tensor, inner, matricize,
+                     mode_multiply, multi_mode_multiply, norm)
 from .tucker import (
     TuckerDecomposition,
     _weighted_sq_norm,
@@ -65,25 +66,12 @@ __all__ = [
 _FP_SLACK = 1e-12
 
 
-def _validate(eps, eta, ranks=(), dims=None, trials=1, embed_dims=None, y_samples=1) -> None:
-    """Reject a bad experiment setting; ``dims``, when given, caps each rank."""
+def _validate(eps, eta) -> None:
+    """Reject an eps that is not positive or an eta outside (0, 1)."""
     if not 0.0 < eps:
         raise ValueError(f"eps must be positive, got {eps}")
     if not 0.0 < eta < 1.0:
         raise ValueError(f"eta must lie in (0, 1), got {eta}")
-    if dims is None:
-        dims = (math.inf,) * len(ranks)
-    if len(ranks) != len(dims):
-        raise ValueError("dims and ranks must have equal length")
-    for n, r in zip(dims, ranks):
-        if not 1 <= r <= n:
-            raise ValueError(f"rank {r} must lie in [1, {n}]")
-    if trials < 1:
-        raise ValueError("trials must be at least 1")
-    if embed_dims is not None and len(embed_dims) != len(dims):
-        raise ValueError("embed_dims must list one size per mode")
-    if y_samples < 1:
-        raise ValueError("y_samples must be at least 1")
 
 
 def _trial(seed: int, t: int) -> np.random.Generator:
@@ -152,7 +140,8 @@ def embedding_dim_bound(eps: float, eta: float, ranks) -> list[int]:
     least 1 (the logarithm can go nonpositive in degenerate corners such
     as eta near 1 with R_j = q = 1).
     """
-    _validate(eps, eta, ranks)
+    _validate(eps, eta)
+    ranks = _check_ranks(ranks)
     q = len(ranks)
     rmax = max(ranks)
     lead = rmax**2 * q**2 / eps**2
@@ -171,8 +160,8 @@ def residual_embedding_dim_bound(eps: float, eta: float, dims, p_dim: int) -> in
     least 1.
     """
     _validate(eps, eta)
-    if p_dim < 1:
-        raise ValueError("subspace dimension must be at least 1")
+    dims = _check_dims(dims)
+    _check_count("p_dim", p_dim)
     q = len(dims)
     nmax = max(dims)
     val = (q + 1) ** 3 * p_dim / eps**2 * math.log(4.0 * nmax / eta ** (1.0 / (q + 1)))
@@ -235,8 +224,7 @@ def check_prop1(T: TuckerDecomposition, A: np.ndarray, mode: int, eps: float) ->
     """
     if not T.orthogonal:
         raise ValueError("perturbation bounds assume orthonormal factors")
-    if not 0 <= mode < T.order:
-        raise ValueError(f"mode {mode} out of range")
+    _check_mode(mode, T.order)
     if not is_eps_jl(A, pair_vector_set(T.factors[mode]), eps):
         return None
 
@@ -290,10 +278,13 @@ def _tail_report(
 
     Runs ``distortion(gen)`` on every trial's stream; passing means the
     fraction of trials whose distortion exceeds eps is at most eta plus
-    binomial slack.  Raises if eps exceeds
-    ``admissible_eps(max(ranks), len(embed_dims))``, the range of the
-    guarantee checked.
+    binomial slack.  Raises on a bad trial count or ``embed_dims``, and
+    if eps exceeds ``admissible_eps(max(ranks), len(embed_dims))``, the
+    range of the guarantee checked.
     """
+    _check_count("trials", trials)
+    if len(embed_dims) != len(ranks):
+        raise ValueError("embed_dims must list one size per mode")
     limit = admissible_eps(max(ranks), len(embed_dims))
     if eps > limit:
         raise ValueError(f"eps={eps} exceeds admissible bound {limit:.4f}")
@@ -333,7 +324,9 @@ def check_multimode_distortion(
     exceeding eps is at most eta plus binomial slack.  Raises if eps sits
     outside the admissible range of the guarantee being checked.
     """
-    _validate(eps, eta, ranks, dims, trials, embed_dims)
+    _validate(eps, eta)
+    dims = _check_dims(dims)
+    ranks = _check_ranks(ranks, dims)
 
     def distortion(gen: np.random.Generator) -> float:
         T = random_orthogonal_tucker(dims, ranks, gen)
@@ -413,7 +406,9 @@ def check_residual_distortion(
     """
     X = as_tensor(X)
     core = as_tensor(core)
-    _validate(eps, eta, core.shape, X.shape, trials, embed_dims, y_samples)
+    _validate(eps, eta)
+    _check_ranks(core.shape, X.shape)
+    _check_count("y_samples", y_samples)
     shapes = [np.shape(f) for f in factors]
     if shapes != list(zip(X.shape, core.shape)):
         raise ValueError(f"factor shapes {shapes} do not match tensor {X.shape} and core {core.shape}")
@@ -450,8 +445,7 @@ def run_lemma21_suite(trials: int = 200, seed: int = 0, tol: float = 1e-10) -> B
     mode map; the relative gap between the Gram evaluation and the dense
     mapped-tensor norm must stay within ``tol``.
     """
-    if trials < 1:
-        raise ValueError("trials must be at least 1")
+    _check_count("trials", trials)
 
     def gap(gen: np.random.Generator) -> float:
         q = int(gen.integers(3, 5))
@@ -518,8 +512,7 @@ def run_lemma_a_suite(
 ) -> BoundReport:
     """Inner-product bound over seeded draws of the embedding, then x and y;
     passing needs zero violations and at least one satisfying draw."""
-    if trials < 1:
-        raise ValueError("trials must be at least 1")
+    _check_count("trials", trials)
 
     def check(t: int, gen: np.random.Generator):
         E = make_embedding(family, n, m, gen)
@@ -546,8 +539,7 @@ def run_prop1_suite(
     Draw t maps mode ``t % order``.  Draws are capped at 20x the target;
     zero violations required among the satisfying draws.
     """
-    if target < 1:
-        raise ValueError("target must be at least 1")
+    _check_count("target", target)
 
     def check(t: int, gen: np.random.Generator):
         T = random_orthogonal_tucker(dims, ranks, gen)

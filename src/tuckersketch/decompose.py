@@ -76,7 +76,8 @@ import numpy as np
 
 from . import rng
 from .embeddings import draw_sample_rows, draw_signs, mix, sample_size, unmix_factor
-from .tensor import as_tensor, inner, matricize, mode_multiply, multi_mode_multiply, norm
+from .tensor import (_check_count, _check_mode, _check_ranks, _check_ratio, as_tensor, inner, matricize,
+                     mode_multiply, multi_mode_multiply, norm)
 from .tucker import TuckerDecomposition, reconstruct
 
 __all__ = [
@@ -133,31 +134,20 @@ class DecomposerConfig:
             raise ValueError(f"unknown method {self.method!r}, expected one of {METHODS}")
         if self.init not in ("hosvd", "random"):
             raise ValueError(f"unknown init {self.init!r}, expected 'hosvd' or 'random'")
-        if len(self.ranks) != q:
-            raise ValueError(f"{len(self.ranks)} ranks given for an order-{q} tensor")
-        for j, (r, n) in enumerate(zip(self.ranks, shape)):
-            if not isinstance(r, (int, np.integer)):
-                raise ValueError(f"rank {r!r} for mode {j} must be an integer")
-            if not 1 <= r <= n:
-                raise ValueError(f"rank {r} for mode {j} must be in [1, {n}]")
-        if not isinstance(self.max_iters, (int, np.integer)):
-            raise ValueError(f"max_iters {self.max_iters!r} must be an integer")
-        if self.max_iters < 1:
-            raise ValueError("max_iters must be at least 1")
+        _check_ranks(self.ranks, shape)
+        _check_count("max_iters", self.max_iters)
         if not self.rel_tol >= 0.0:  # also rejects nan, under which no run would stop
             raise ValueError(f"rel_tol must be a non-negative number, got {self.rel_tol}")
         rng._check_seed(self.seed)
         if self.method in RANDOMIZED:
-            if not 0.0 < self.dr <= 1.0:
-                raise ValueError(f"dr must be in (0, 1], got {self.dr}")
+            _check_ratio(self.dr)
             modes = self.resolved_compress_modes(q)
             if len(modes) == 0:
                 raise ValueError("randomized methods need at least one compressed mode")
+            for j in modes:
+                _check_mode(j, q, "compressed mode")
             if len(set(modes)) != len(modes):
                 raise ValueError(f"duplicate compressed modes: {modes}")
-            for j in modes:
-                if not 0 <= j < q:
-                    raise ValueError(f"compressed mode {j} out of range for order-{q} tensor")
 
 
 @dataclass
@@ -198,19 +188,6 @@ def _fix_sign(U: np.ndarray) -> np.ndarray:
     return U * flips
 
 
-def _complete_basis(U: np.ndarray, r: int) -> np.ndarray:
-    """Extend orthonormal columns to ``r`` of them, one at a time, by the
-    coordinate vector the current span covers least, orthogonalised
-    against it twice."""
-    while U.shape[1] < r:
-        i = int(np.argmin(np.einsum("ij,ij->i", U, U)))
-        v = -(U @ U[i])
-        v[i] += 1.0
-        v -= U @ (U.T @ v)
-        U = np.column_stack([U, v / np.linalg.norm(v)])
-    return U
-
-
 def _leading_left_vectors(M: np.ndarray, r: int, kernels: list | None = None) -> np.ndarray:
     """Leading ``r`` left singular vectors of the n x K matrix ``M``.
 
@@ -233,10 +210,9 @@ def _leading_left_vectors(M: np.ndarray, r: int, kernels: list | None = None) ->
     if gram:
         return _fix_sign(V[:, : -r - 1 : -1])
     R = np.linalg.qr(M.T, mode="r")
-    U = np.linalg.svd(R.T, full_matrices=False)[0][:, :r]
-    if U.shape[1] < r:  # fewer columns than the rank: no more singular vectors
-        U = _complete_basis(U, r)
-    return _fix_sign(U)
+    # a rank above the width of M takes the full U, whose trailing columns
+    # span what the columns of M leave out
+    return _fix_sign(np.linalg.svd(R.T, full_matrices=r > len(R))[0][:, :r])
 
 
 def _polar_factor(M: np.ndarray) -> np.ndarray:
@@ -309,8 +285,10 @@ def _initial_guess(Xw: np.ndarray, config: DecomposerConfig, samples, kernels: l
     row-sampled along the compressed modes > j with ``samples``, the
     iteration-0 row samples (none when nothing is compressed).  Only
     mode 0 unfolds a full-size tensor.  ``init="random"`` draws
-    orthonormal bases instead, except for ``hosvd``.  The core starts
-    from the same least-squares problem the first sweep will solve.
+    orthonormal bases instead, except for ``hosvd``.  The starting core
+    solves least squares on the iteration-0 sketch when a mode is
+    compressed (``hooi-re-star`` too, whose sweeps project the full mixed
+    tensor), and is the projection of ``Xw`` onto the factors otherwise.
     """
     if config.method == "hosvd":
         factors = [_leading_left_vectors(matricize(Xw, j), r, kernels) for j, r in enumerate(config.ranks)]

@@ -24,7 +24,7 @@ from __future__ import annotations
 import numpy as np
 import scipy.fft
 
-from .tensor import as_tensor
+from .tensor import _check_count, _check_mode, _check_ratio, as_tensor
 
 __all__ = [
     "make_embedding",
@@ -45,8 +45,8 @@ def make_embedding(kind: str, n: int, m: int, gen: np.random.Generator) -> np.nd
     draws its matrix."""
     if kind not in FAMILIES:
         raise ValueError(f"unknown embedding family {kind!r}, expected one of {FAMILIES}")
-    if m < 1 or n < 1:
-        raise ValueError(f"embedding sizes must be positive, got m={m}, n={n}")
+    _check_count("embedding size m", m)
+    _check_count("embedding size n", n)
     if kind == "srft":
         if m > n:
             raise ValueError(f"srft requires m <= n, got m={m}, n={n}")
@@ -75,8 +75,7 @@ def draw_sample_rows(gen: np.random.Generator, n: int, m: int) -> np.ndarray:
 
 def sample_size(dr: float, n: int) -> int:
     """Per-mode sample count for a dimension-reduction ratio, round half up."""
-    if not 0.0 < dr <= 1.0:
-        raise ValueError(f"dimension-reduction ratio must be in (0, 1], got {dr}")
+    _check_ratio(dr)
     return max(1, int(np.floor(dr * n + 0.5)))
 
 
@@ -91,8 +90,7 @@ def mix(X, signs: dict[int, np.ndarray]) -> np.ndarray:
     """
     X = as_tensor(X)
     for j, s in signs.items():
-        if not 0 <= j < X.ndim:
-            raise ValueError(f"mode {j} out of range for shape {X.shape}")
+        _check_mode(j, X.ndim)
         if np.shape(s) != (X.shape[j],):
             raise ValueError(f"sign vector of shape {np.shape(s)} for mode {j} of size {X.shape[j]}")
     if not signs:

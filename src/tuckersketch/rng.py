@@ -18,13 +18,15 @@ order.  Stream tags used by the library:
             failure-rate helper embedding, vector set.  th4's fixed tensor
             and sub-decomposition use one stream (TRIAL, 10000, 0).
 
-A seed is a non-negative integer (Python or numpy); anything else is
-rejected with one message.
+A seed is a non-negative integer (Python or numpy, not a bool); anything
+else is rejected with one message.
 """
 
 from __future__ import annotations
 
 import numpy as np
+
+from .tensor import _is_int
 
 MIX = 0
 SAMPLE = 1
@@ -34,7 +36,7 @@ TRIAL = 3
 
 def _check_seed(seed) -> int:
     """The seed as a Python int; a negative or non-integer seed is rejected."""
-    if not isinstance(seed, (int, np.integer)) or seed < 0:
+    if not _is_int(seed) or seed < 0:
         raise ValueError(f"seed must be a non-negative integer, got {seed}")
     return int(seed)
 

@@ -11,6 +11,9 @@ Mode indices are 0-based.  The mode-j unfolding is the
 remaining indices in increasing mode order with the lowest mode varying
 fastest, so that ``mode_multiply(X, B, j)`` is the fold of
 ``B @ matricize(X, j)``.
+
+The private ``_is_int`` and ``_check_*`` functions are the package's one
+home for its input rules, so each rule gives one message everywhere.
 """
 
 from __future__ import annotations
@@ -40,12 +43,57 @@ def as_tensor(data) -> np.ndarray:
     return np.asarray(arr, dtype=np.float64)
 
 
+def _is_int(value) -> bool:
+    """Whether ``value`` is a Python or numpy integer; a bool is not."""
+    return isinstance(value, (int, np.integer)) and not isinstance(value, bool)
+
+
+def _check_count(name: str, value) -> None:
+    """Reject a ``value`` that is not an integer of at least 1."""
+    if not _is_int(value) or value < 1:
+        raise ValueError(f"{name} {value!r} must be an integer of at least 1")
+
+
+def _check_dims(dims) -> tuple[int, ...]:
+    """A shape as Python ints: at least one mode, each an integer of at least 1."""
+    dims = tuple(dims)
+    if not dims or not all(_is_int(n) and n >= 1 for n in dims):
+        raise ValueError(f"dims must be integers of at least 1, for at least one mode, got {dims}")
+    return tuple(int(n) for n in dims)
+
+
+def _check_ranks(ranks, dims=None) -> tuple[int, ...]:
+    """Ranks as Python ints: at least one, each in ``[1, dims[j]]``, or >= 1 without ``dims``."""
+    ranks = tuple(ranks)
+    if dims is not None and len(ranks) != len(dims):
+        raise ValueError(f"{len(ranks)} ranks given for an order-{len(dims)} tensor")
+    if not ranks:
+        raise ValueError("ranks must cover at least one mode")
+    for j, r in enumerate(ranks):
+        if not _is_int(r):
+            raise ValueError(f"rank {r!r} for mode {j} must be an integer")
+        n = float("inf") if dims is None else dims[j]
+        if not 1 <= r <= n:
+            raise ValueError(f"rank {r} for mode {j} must be in [1, {n}]")
+    return tuple(int(r) for r in ranks)
+
+
+def _check_mode(mode, order: int, what: str = "mode") -> None:
+    """Reject anything but a 0-based mode index of an order-``order`` tensor."""
+    if not _is_int(mode) or not 0 <= mode < order:
+        raise ValueError(f"{what} {mode} out of range for an order-{order} tensor")
+
+
+def _check_ratio(dr) -> None:
+    """Reject a dimension-reduction ratio outside (0, 1], nan included."""
+    if not 0.0 < dr <= 1.0:
+        raise ValueError(f"dr must be in (0, 1], got {dr}")
+
+
 def from_vec(flat, shape: Sequence[int]) -> np.ndarray:
     """Build a tensor from its first-index-fastest vectorisation."""
-    shape = tuple(int(n) for n in shape)
+    shape = _check_dims(shape)
     flat = as_tensor(flat).ravel()
-    if any(n < 1 for n in shape):
-        raise ValueError(f"dimensions must be positive, got {shape}")
     expected = int(np.prod(shape))
     if flat.size != expected:
         raise ValueError(f"expected {expected} values for shape {shape}, got {flat.size}")
@@ -57,11 +105,6 @@ def to_vec(X) -> np.ndarray:
     return as_tensor(X).ravel(order="F")
 
 
-def _check_mode(X: np.ndarray, mode: int) -> None:
-    if not 0 <= mode < X.ndim:
-        raise ValueError(f"mode {mode} out of range for order-{X.ndim} tensor")
-
-
 def matricize(X, mode: int) -> np.ndarray:
     """Mode-``mode`` unfolding of ``X``.
 
@@ -69,7 +112,7 @@ def matricize(X, mode: int) -> np.ndarray:
     indices in increasing mode order, lowest mode fastest.
     """
     X = as_tensor(X)
-    _check_mode(X, mode)
+    _check_mode(mode, X.ndim)
     return np.moveaxis(X, mode, 0).reshape(X.shape[mode], -1, order="F")
 
 
@@ -83,7 +126,7 @@ def mode_multiply(X, B, mode: int) -> np.ndarray:
     """
     X = as_tensor(X)
     B = as_tensor(B)
-    _check_mode(X, mode)
+    _check_mode(mode, X.ndim)
     if B.ndim != 2:
         raise ValueError("mode map must be a matrix")
     if B.shape[1] != X.shape[mode]:

@@ -13,7 +13,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .tensor import as_tensor, matricize, mode_multiply, multi_mode_multiply
+from .tensor import _check_mode, as_tensor, matricize, mode_multiply, multi_mode_multiply
 
 __all__ = [
     "TuckerDecomposition",
@@ -98,8 +98,7 @@ def mode_coherence(T: TuckerDecomposition, mode: int) -> float:
     Single-column factors have coherence 0 by convention.  A zero column
     is an error (its direction is undefined).
     """
-    if not 0 <= mode < T.order:
-        raise ValueError(f"mode {mode} out of range for order-{T.order} decomposition")
+    _check_mode(mode, T.order)
     f = T.factors[mode]
     r = f.shape[1]
     if r == 1:
@@ -121,8 +120,7 @@ def apply_mode_map(T: TuckerDecomposition, B, mode: int) -> TuckerDecomposition:
     transformed column has norm below 1e-14 (direction undefined).  The
     result's ``orthogonal`` flag is always cleared.
     """
-    if not 0 <= mode < T.order:
-        raise ValueError(f"mode {mode} out of range for order-{T.order} decomposition")
+    _check_mode(mode, T.order)
     B = as_tensor(B)
     mapped = B @ T.factors[mode]
     col_norms = np.linalg.norm(mapped, axis=0)
@@ -144,8 +142,7 @@ def psi_matrix(core, factors, mode: int) -> np.ndarray:
     have fewer rows than columns), and ``factors[mode]`` is never read.
     """
     core = as_tensor(core)
-    if not 0 <= mode < core.ndim:
-        raise ValueError(f"mode {mode} out of range for order-{core.ndim} decomposition")
+    _check_mode(mode, core.ndim)
     others = [None if k == mode else f for k, f in enumerate(factors)]
     return matricize(multi_mode_multiply(core, others), mode)
 
