@@ -10,6 +10,7 @@ NaN error and listed in the summary rather than aborting the sweep.
 from __future__ import annotations
 
 import csv
+import itertools
 import json
 import time
 from dataclasses import asdict, dataclass, fields
@@ -20,7 +21,7 @@ import numpy as np
 
 from . import rng
 from .decompose import METHODS, RANDOMIZED, DecomposerConfig, decompose
-from .tensor import _check_count, _check_dims, _check_ranks, _check_ratio, as_tensor
+from .tensor import _check_count, _check_dims, _check_ranks, as_tensor
 from .tucker import random_orthogonal_tucker, reconstruct
 
 __all__ = [
@@ -73,17 +74,13 @@ class BenchConfig:
             raise ValueError("no methods selected")
         if not self.ranks:
             raise ValueError("no ranks selected")
-        # the solver's own method and rank checks, and its compressed-mode
-        # checks for the randomized methods, which read them
-        for method in self.methods:
-            for R in self.ranks:
-                DecomposerConfig(ranks=(R,) * len(shape), method=method,
-                                 compress_modes=self.compress_modes).validate(shape)
-        _check_count("reps", self.reps)
         if any(m in RANDOMIZED for m in self.methods) and not self.dr_grid:
             raise ValueError("randomized methods need a nonempty dr grid")
-        for dr in self.dr_grid:
-            _check_ratio(dr)
+        # the solver's own checks of every method, rank and dr of the grid
+        for method, R, dr in itertools.product(self.methods, self.ranks, self.dr_grid or (1.0,)):
+            DecomposerConfig(ranks=(R,) * len(shape), method=method, dr=dr,
+                             compress_modes=self.compress_modes).validate(shape)
+        _check_count("reps", self.reps)
 
 
 @dataclass

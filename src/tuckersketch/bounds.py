@@ -66,12 +66,15 @@ __all__ = [
 _FP_SLACK = 1e-12
 
 
-def _validate(eps, eta) -> None:
-    """Reject an eps that is not positive or an eta outside (0, 1)."""
+def _validate(eps, eta, trials=1, embed_dims=(), order=0) -> None:
+    """Reject a bad eps, eta or trial count, or ``embed_dims`` not of length ``order``."""
     if not 0.0 < eps:
         raise ValueError(f"eps must be positive, got {eps}")
     if not 0.0 < eta < 1.0:
         raise ValueError(f"eta must lie in (0, 1), got {eta}")
+    _check_count("trials", trials)
+    if len(embed_dims) != order:
+        raise ValueError("embed_dims must list one size per mode")
 
 
 def _trial(seed: int, t: int) -> np.random.Generator:
@@ -278,13 +281,10 @@ def _tail_report(
 
     Runs ``distortion(gen)`` on every trial's stream; passing means the
     fraction of trials whose distortion exceeds eps is at most eta plus
-    binomial slack.  Raises on a bad trial count or ``embed_dims``, and
-    if eps exceeds ``admissible_eps(max(ranks), len(embed_dims))``, the
-    range of the guarantee checked.
+    binomial slack.  Raises if eps exceeds
+    ``admissible_eps(max(ranks), len(embed_dims))``, the range of the
+    guarantee checked.
     """
-    _check_count("trials", trials)
-    if len(embed_dims) != len(ranks):
-        raise ValueError("embed_dims must list one size per mode")
     limit = admissible_eps(max(ranks), len(embed_dims))
     if eps > limit:
         raise ValueError(f"eps={eps} exceeds admissible bound {limit:.4f}")
@@ -324,9 +324,9 @@ def check_multimode_distortion(
     exceeding eps is at most eta plus binomial slack.  Raises if eps sits
     outside the admissible range of the guarantee being checked.
     """
-    _validate(eps, eta)
     dims = _check_dims(dims)
     ranks = _check_ranks(ranks, dims)
+    _validate(eps, eta, trials, embed_dims, len(dims))
 
     def distortion(gen: np.random.Generator) -> float:
         T = random_orthogonal_tucker(dims, ranks, gen)
@@ -406,7 +406,7 @@ def check_residual_distortion(
     """
     X = as_tensor(X)
     core = as_tensor(core)
-    _validate(eps, eta)
+    _validate(eps, eta, trials, embed_dims, X.ndim)
     _check_ranks(core.shape, X.shape)
     _check_count("y_samples", y_samples)
     shapes = [np.shape(f) for f in factors]

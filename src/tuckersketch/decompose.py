@@ -139,8 +139,8 @@ class DecomposerConfig:
         if not self.rel_tol >= 0.0:  # also rejects nan, under which no run would stop
             raise ValueError(f"rel_tol must be a non-negative number, got {self.rel_tol}")
         rng._check_seed(self.seed)
+        _check_ratio(self.dr)
         if self.method in RANDOMIZED:
-            _check_ratio(self.dr)
             modes = self.resolved_compress_modes(q)
             if len(modes) == 0:
                 raise ValueError("randomized methods need at least one compressed mode")
@@ -188,6 +188,19 @@ def _fix_sign(U: np.ndarray) -> np.ndarray:
     return U * flips
 
 
+def _complete_basis(U: np.ndarray, r: int) -> np.ndarray:
+    """Extend orthonormal columns to ``r`` of them, one at a time, by the
+    coordinate vector the current span covers least, orthogonalised
+    against it twice."""
+    while U.shape[1] < r:
+        i = int(np.argmin(np.einsum("ij,ij->i", U, U)))
+        v = -(U @ U[i])
+        v[i] += 1.0
+        v -= U @ (U.T @ v)
+        U = np.column_stack([U, v / np.linalg.norm(v)])
+    return U
+
+
 def _leading_left_vectors(M: np.ndarray, r: int, kernels: list | None = None) -> np.ndarray:
     """Leading ``r`` left singular vectors of the n x K matrix ``M``.
 
@@ -210,9 +223,8 @@ def _leading_left_vectors(M: np.ndarray, r: int, kernels: list | None = None) ->
     if gram:
         return _fix_sign(V[:, : -r - 1 : -1])
     R = np.linalg.qr(M.T, mode="r")
-    # a rank above the width of M takes the full U, whose trailing columns
-    # span what the columns of M leave out
-    return _fix_sign(np.linalg.svd(R.T, full_matrices=r > len(R))[0][:, :r])
+    U = np.linalg.svd(R.T, full_matrices=False)[0][:, :r]
+    return _fix_sign(_complete_basis(U, r))
 
 
 def _polar_factor(M: np.ndarray) -> np.ndarray:
@@ -285,10 +297,9 @@ def _initial_guess(Xw: np.ndarray, config: DecomposerConfig, samples, kernels: l
     row-sampled along the compressed modes > j with ``samples``, the
     iteration-0 row samples (none when nothing is compressed).  Only
     mode 0 unfolds a full-size tensor.  ``init="random"`` draws
-    orthonormal bases instead, except for ``hosvd``.  The starting core
-    solves least squares on the iteration-0 sketch when a mode is
-    compressed (``hooi-re-star`` too, whose sweeps project the full mixed
-    tensor), and is the projection of ``Xw`` onto the factors otherwise.
+    orthonormal bases instead, except for ``hosvd``.  The core is the
+    least-squares fit to the iteration-0 sketch (``Xw`` if nothing is
+    compressed), even for ``hooi-re-star``, whose sweeps fit it to all of ``Xw``.
     """
     if config.method == "hosvd":
         factors = [_leading_left_vectors(matricize(Xw, j), r, kernels) for j, r in enumerate(config.ranks)]

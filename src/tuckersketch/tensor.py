@@ -81,7 +81,7 @@ def _check_ranks(ranks, dims=None) -> tuple[int, ...]:
 def _check_mode(mode, order: int, what: str = "mode") -> None:
     """Reject anything but a 0-based mode index of an order-``order`` tensor."""
     if not _is_int(mode) or not 0 <= mode < order:
-        raise ValueError(f"{what} {mode} out of range for an order-{order} tensor")
+        raise ValueError(f"{what} {mode!r} out of range for an order-{order} tensor")
 
 
 def _check_ratio(dr) -> None:

@@ -30,7 +30,7 @@ def test_run_bench_rejects_complex_input():
 
 def test_run_bench_rejects_bad_seed():
     X = synth_tensor((8, 8, 8), (2, 2, 2), 0.1, 4)
-    for seed in (-1, 1.5):
+    for seed in (-1, 1.5, True):
         with pytest.raises(ValueError, match=f"^seed must be a non-negative integer, got {seed}$"):
             run_bench(X, BenchConfig(methods=("hooi",), ranks=(2,), reps=1, seed=seed))
 

@@ -79,7 +79,7 @@ def test_bad_seed_rejected_by_every_method(method):
     # -1 used to pass hosvd and hooi and reach numpy's bare message in
     # hooi-re; 1.5 ran as seed 1
     X = noisy_tensor((6, 5, 4), (2, 2, 2), 0.1, 3)
-    for seed in (-1, 1.5, np.int64(-2), "3"):
+    for seed in (-1, 1.5, np.int64(-2), "3", True):
         with pytest.raises(ValueError, match=f"^seed must be a non-negative integer, got {seed}$"):
             decompose(X, DecomposerConfig(ranks=(2, 2, 2), method=method, dr=0.5, seed=seed))
     # numpy integers are seeds like any other
@@ -89,7 +89,7 @@ def test_bad_seed_rejected_by_every_method(method):
 
 def test_rng_rejects_bad_seed_with_one_message():
     for derive in (rng.stream, rng.child_seed):
-        for seed in (-1, 1.5, np.int64(-2), "3"):
+        for seed in (-1, 1.5, np.int64(-2), "3", True):
             with pytest.raises(ValueError, match=f"^seed must be a non-negative integer, got {seed}$"):
                 derive(seed, 0)
     assert rng.child_seed(np.uint32(7), 1) == rng.child_seed(7, 1)
@@ -351,6 +351,24 @@ def test_factors_have_the_requested_rank_beyond_the_unfolding_width():
         T, report = decompose(Y, DecomposerConfig(ranks=(20, 20, 20), method=method, dr=0.1, seed=0))
         assert [f.shape for f in T.factors] == [(40, 20)] * 3 and T.orthogonal
         assert np.isfinite(report.final_error)
+
+
+def test_rank_beyond_the_unfolding_width_never_forms_a_square_basis():
+    # completing the basis costs n x r; the full U of the R-SVD would be a
+    # 4000 x 4000 matrix, 444x the input
+    X = np.random.default_rng(0).standard_normal((4000, 3, 3))
+    runs = [lambda: hosvd(X, (12, 3, 3))] + [
+        lambda method=method: decompose(X, DecomposerConfig(ranks=(12, 3, 3), method=method, dr=0.5))
+        for method in ("hooi", "hooi-re")
+    ]
+    for run in runs:
+        tracemalloc.start()
+        try:
+            run()
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak <= 16 * X.nbytes
 
 
 # the package's ``decompose`` attribute is the function, not the module

@@ -47,42 +47,9 @@ def exact(message: str) -> str:
 
 
 # ---------------------------------------------------------------------------
-# inputs that got through before the rules were shared
+# inputs that got through before the rules were shared and that no single
+# rule's test below covers
 # ---------------------------------------------------------------------------
-
-COMPRESSED_MODE_ENTRIES = {
-    "decompose-hooi-re": lambda modes: run_decompose(method="hooi-re", dr=0.5, compress_modes=modes),
-    "decompose-hooi-re-star": lambda modes: run_decompose(method="hooi-re-star", dr=0.5, compress_modes=modes),
-    "bench": lambda modes: run_small_bench(methods=("hooi-re",), dr_grid=(0.5,), compress_modes=modes),
-}
-
-
-@pytest.mark.parametrize("entry", COMPRESSED_MODE_ENTRIES)
-@pytest.mark.parametrize("mode", [0.5, True])
-def test_non_integer_compressed_mode_rejected(entry, mode):
-    # decompose raised a TypeError from a tuple index or an axis, and the
-    # bench recorded every randomized cell as a NaN row
-    with pytest.raises(ValueError, match=exact(f"compressed mode {mode} out of range for an order-3 tensor")):
-        COMPRESSED_MODE_ENTRIES[entry]((mode,))
-
-
-NON_INTEGER_COUNT_ENTRIES = {
-    "bench-reps": ("reps", lambda v: run_small_bench(reps=v)),
-    "lemma21-trials": ("trials", lambda v: bounds.run_lemma21_suite(trials=v)),
-    "th1-trials": ("trials", lambda v: bounds.run_th1_suite(trials=v)),
-    "lemma-a-trials": ("trials", lambda v: bounds.run_lemma_a_suite(trials=v)),
-    "prop1-target": ("target", lambda v: bounds.run_prop1_suite(target=v)),
-}
-
-
-@pytest.mark.parametrize("entry", NON_INTEGER_COUNT_ENTRIES)
-def test_non_integer_trial_count_rejected(entry):
-    # reps and the lemma21 and th1 trials raised a TypeError from range();
-    # lemma-a and prop1 ran 3 draws and passed
-    name, call = NON_INTEGER_COUNT_ENTRIES[entry]
-    with pytest.raises(ValueError, match=exact(f"{name} 2.5 must be an integer of at least 1")):
-        call(2.5)
-
 
 @pytest.mark.parametrize("shape, size", [((2.5, 2), 4), ((), 1)])
 def test_from_vec_rejects_a_non_integer_or_empty_shape(shape, size):
@@ -107,24 +74,6 @@ def test_dim_bounds_reject_empty_ranks_and_dims():
         bounds.embedding_dim_bound(0.5, 0.1, ())
     with pytest.raises(ValueError, match=exact("dims must be integers of at least 1, for at least one mode, got ()")):
         bounds.residual_embedding_dim_bound(0.5, 0.1, (), 4)
-
-
-BOOL_ENTRIES = {
-    "rank": ("rank True for mode 0 must be an integer", lambda: run_decompose(ranks=(True, 2, 2))),
-    "bench-rank": ("rank True for mode 0 must be an integer", lambda: run_small_bench(ranks=(True,))),
-    "max_iters": ("max_iters True must be an integer of at least 1", lambda: run_decompose(max_iters=True)),
-    "reps": ("reps True must be an integer of at least 1", lambda: run_small_bench(reps=True)),
-    "seed": ("seed must be a non-negative integer, got True", lambda: run_decompose(seed=True)),
-    "bench-seed": ("seed must be a non-negative integer, got True", lambda: run_small_bench(seed=True)),
-}
-
-
-@pytest.mark.parametrize("entry", BOOL_ENTRIES)
-def test_bool_is_not_an_integer(entry):
-    # True counted as 1: ranks=(True, 2, 2) ran at rank 1
-    message, call = BOOL_ENTRIES[entry]
-    with pytest.raises(ValueError, match=exact(message)):
-        call()
 
 
 # ---------------------------------------------------------------------------
@@ -163,6 +112,9 @@ COUNT_ENTRIES = {
 
 @pytest.mark.parametrize("entry", COUNT_ENTRIES)
 def test_count_rule_gives_one_message(entry):
+    # a float reps or lemma21/th1 trials raised a TypeError from range(); a
+    # float lemma-a trials or prop1 target ran 3 draws and passed; True
+    # counted as 1
     name = entry.split("-")[0]
     for bad in (0, -3, 2.5, True, "2"):
         with pytest.raises(ValueError, match=exact(f"{name} {bad!r} must be an integer of at least 1")):
@@ -180,6 +132,7 @@ RANK_ENTRIES = {
 
 @pytest.mark.parametrize("entry", RANK_ENTRIES)
 def test_rank_rule_gives_one_message(entry):
+    # ranks=(True, 2, 2) used to run at rank 1
     call = RANK_ENTRIES[entry]
     for bad in (2.5, 2.0, True, "2"):
         with pytest.raises(ValueError, match=exact(f"rank {bad!r} for mode 0 must be an integer")):
@@ -208,21 +161,25 @@ MODE_ENTRIES = {
     "estimate_subspace_dim": lambda j: bounds.estimate_subspace_dim(T.core, T.factors, j),
     "mix": lambda j: mix(X, {j: np.ones(6)}),
     "compressed-decompose": lambda j: run_decompose(method="hooi-re", dr=0.5, compress_modes=(j,)),
+    "compressed-decompose-star": lambda j: run_decompose(method="hooi-re-star", dr=0.5, compress_modes=(j,)),
     "compressed-bench": lambda j: run_small_bench(methods=("hooi-re",), dr_grid=(0.5,), compress_modes=(j,)),
 }
 
 
 @pytest.mark.parametrize("entry", MODE_ENTRIES)
 def test_mode_rule_gives_one_message(entry):
+    # a float or bool compressed mode raised a TypeError from a tuple index
+    # or an axis, and the bench recorded every randomized cell as a NaN row
     what = "compressed mode" if entry.startswith("compressed") else "mode"
-    for bad in (3, -1, 0.5, 1.0, True):
-        with pytest.raises(ValueError, match=exact(f"{what} {bad} out of range for an order-3 tensor")):
+    for bad in (3, -1, 0.5, 1.0, True, "1"):
+        with pytest.raises(ValueError, match=exact(f"{what} {bad!r} out of range for an order-3 tensor")):
             MODE_ENTRIES[entry](bad)
 
 
 RATIO_ENTRIES = {
     "sample_size": lambda dr: sample_size(dr, 10),
     "decompose": lambda dr: run_decompose(method="hooi-re", dr=dr),
+    "decompose-deterministic": lambda dr: run_decompose(dr=dr),
     "bench-randomized": lambda dr: run_small_bench(methods=("hooi-re",), dr_grid=(dr,)),
     "bench-deterministic": lambda dr: run_small_bench(dr_grid=(dr,)),
 }
@@ -233,3 +190,13 @@ def test_ratio_rule_gives_one_message(entry):
     for bad in (0.0, -0.1, 1.5, float("nan")):
         with pytest.raises(ValueError, match=exact(f"dr must be in (0, 1], got {bad}")):
             RATIO_ENTRIES[entry](bad)
+
+
+def test_residual_check_rejects_its_inputs_before_any_work(monkeypatch):
+    # the trial count and embed_dims used to be checked after the full-size
+    # residual split
+    monkeypatch.setattr(bounds, "_residual_split", lambda *args: pytest.fail("split before the checks"))
+    with pytest.raises(ValueError, match=exact("trials 2.5 must be an integer of at least 1")):
+        residual(trials=2.5)
+    with pytest.raises(ValueError, match=exact("embed_dims must list one size per mode")):
+        bounds.check_residual_distortion(X, T.core, T.factors, 0, (4, 4), **TAIL)
