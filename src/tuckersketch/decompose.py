@@ -10,7 +10,9 @@ the core is fitted to:
                     factor from a full-size unfolding) and zero sweeps.
 * ``hooi``          no compressed mode: mixing and unmixing are the
                     identity, no rows are sampled, and each sweep is the
-                    classic alternating scheme on the raw tensor.
+                    classic alternating scheme on the raw tensor, with
+                    the partial mode products shared across its modes
+                    (see below).
 * ``hooi-re``       the tensor is mixed once along the compressed modes
                     (random signs then orthonormal DCT-II), every sweep
                     redraws a row sample per compressed mode, factor
@@ -38,6 +40,16 @@ use the most recently updated core throughout a sweep.
 The one full-size array a run allocates is the mixed working copy
 ``Xw`` (none when no mode is compressed, where ``Xw`` is the input
 itself); every sketch, factor update and core update works on it.
+When no mode is sampled (``hooi``), mode j's update and the core share
+the prefix ``head = Xw x_{k<j} U_k^T`` over the factors already updated
+this sweep, so a sweep carries it from mode to mode (the memoised HOOI
+of Kaya & Ucar, ICPP 2016): ``W_j = head x_{k>j} U_k^T``, then
+``head <- head x_j U_j^T``, and after the last mode ``head`` is the
+core.  Each array is formed by the same mode products in the same order
+as a fresh ``multi_mode_multiply`` from ``Xw``, so the outputs do not
+change, but only two mode products per sweep, and one in the ST-HOSVD
+init, read all of ``Xw`` instead of q + 1 and two.  The sampled methods
+sketch ``Xw`` anew for every mode and share no prefix.
 
 Convergence is declared when the relative fit (1 - residual/norm),
 measured on the data the method actually fits (sketched data for
@@ -162,6 +174,8 @@ class RunReport:
     stage_times: dict[str, list[float]] = field(default_factory=dict)
     preprocess_ms: float = 0.0
     init_kernels: list[str] = field(default_factory=list)  # per mode: "gram" or "r-svd"
+    stop_reason: str = ""  # "converged", "max_iters" or "no_sweeps"
+    sample_sizes: list[int] = field(default_factory=list)  # rows per sweep, per mode
 
     def mean_stage_ms(self, stage: str) -> float:
         times = self.stage_times.get(stage, [])
@@ -298,8 +312,11 @@ def _initial_guess(Xw: np.ndarray, config: DecomposerConfig, samples, kernels: l
     iteration-0 row samples (none when nothing is compressed).  Only
     mode 0 unfolds a full-size tensor.  ``init="random"`` draws
     orthonormal bases instead, except for ``hosvd``.  The core is the
-    least-squares fit to the iteration-0 sketch (``Xw`` if nothing is
-    compressed), even for ``hooi-re-star``, whose sweeps fit it to all of ``Xw``.
+    least-squares fit to the iteration-0 sketch, even for
+    ``hooi-re-star``, whose sweeps fit it to all of ``Xw``.  With nothing
+    compressed it is the projection of ``Xw`` onto the factors, which
+    the ST-HOSVD takes from its own running product
+    ``Y x_{q-1} U_{q-1}^T`` and the other inits from a fresh pass over ``Xw``.
     """
     if config.method == "hosvd":
         factors = [_leading_left_vectors(matricize(Xw, j), r, kernels) for j, r in enumerate(config.ranks)]
@@ -315,6 +332,8 @@ def _initial_guess(Xw: np.ndarray, config: DecomposerConfig, samples, kernels: l
                 Y = mode_multiply(Y, factors[-1].T, j - 1)
             later = {k: rows for k, rows in samples.items() if k > j}
             factors.append(_leading_left_vectors(matricize(_sketch(Y, later), j), r, kernels))
+        if not samples:  # the projected core is one mode product away
+            return factors, mode_multiply(Y, factors[-1].T, len(factors) - 1)
     core = _core(_sketch(Xw, samples), _sketched_factors(factors, samples), bool(samples))
     return factors, core
 
@@ -361,24 +380,35 @@ def _run(X: np.ndarray, config: DecomposerConfig):
     stage: dict[str, list[float]] = {name: [] for name in STAGES}
     fit_trace: list[float] = []
     fit_prev = -np.inf
+    stop_reason = "max_iters" if sweeps else "no_sweeps"
+    # with nothing sampled, W_j and the core share the prefix
+    # head = Xw x_{k<j} U_k^T, carried through each sweep
+    carry = not sizes
     for it in range(1, sweeps + 1):
         ms = dict.fromkeys(STAGES, 0.0)
         with _timed(ms, "embed_generate"):
             samples = _draw_samples(config.seed, it, X.shape, sizes)
+        head = Xw
         for j in range(q):
             with _timed(ms, "embed_apply"):
-                Xj = _sketch(Xw, samples, skip=j)
+                Xj = _sketch(head, samples, skip=j)
             with _timed(ms, "factor_update"):
                 sketched = _sketched_factors(factors, samples)
-                W = multi_mode_multiply(Xj, [None if k == j else S.T for k, S in enumerate(sketched)])
+                mats = [None if k == j or (carry and k < j) else S.T for k, S in enumerate(sketched)]
+                W = multi_mode_multiply(Xj, mats)
                 factors[j] = _polar_factor(matricize(W, j) @ matricize(core, j).T)
+                if carry and j < q - 1:
+                    head = mode_multiply(head, factors[j].T, j)
         # hooi-re fits the core to the fully sketched data, the others to Xw
         core_samples = samples if config.method == "hooi-re" else {}
         with _timed(ms, "embed_apply"):
             data = _sketch(Xw, core_samples)
         with _timed(ms, "core_update"):
             fitted = _sketched_factors(factors, core_samples)
-            core = _core(data, fitted, bool(core_samples))
+            if carry:
+                core = mode_multiply(head, factors[-1].T, q - 1)
+            else:
+                core = _core(data, fitted, bool(core_samples))
             if core_samples:  # sketched factors are not orthonormal: dense fit
                 fit = 1.0 - norm(data - multi_mode_multiply(core, fitted)) / norm(data)
             else:  # a projected core is its own projection P
@@ -387,6 +417,7 @@ def _run(X: np.ndarray, config: DecomposerConfig):
             stage[name].append(ms[name])
         fit_trace.append(fit)
         if fit - fit_prev < config.rel_tol:
+            stop_reason = "converged"
             break
         fit_prev = fit
 
@@ -408,6 +439,8 @@ def _run(X: np.ndarray, config: DecomposerConfig):
         stage_times={"init": [run["init"]], **stage, "finalize": [run["finalize"]]},
         preprocess_ms=run["mix"],
         init_kernels=kernels,
+        stop_reason=stop_reason,
+        sample_sizes=[sizes.get(j, n) for j, n in enumerate(X.shape)],
     )
     return T, report
 

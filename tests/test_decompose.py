@@ -373,6 +373,7 @@ def test_rank_beyond_the_unfolding_width_never_forms_a_square_basis():
 
 # the package's ``decompose`` attribute is the function, not the module
 decompose_module = importlib.import_module("tuckersketch.decompose")
+tensor_module = importlib.import_module("tuckersketch.tensor")
 
 
 def _graded_matrix(shape, sigmas, floor, seed):
@@ -560,3 +561,88 @@ def test_hooi_init_unfolds_one_full_size_tensor():
     finally:
         tracemalloc.stop()
     assert peak <= 1.5 * X.nbytes
+
+
+def _textbook_hooi(X, config, sweeps):
+    """hooi as textbooks write it: every W_j and every core a fresh pass
+    over ``X``, starting from ``_initial_guess``'s factors."""
+    dm = decompose_module
+    factors, _ = dm._initial_guess(X, config, {})
+    core = dm._core(X, factors, False)
+    for _ in range(sweeps):
+        for j in range(X.ndim):
+            W = dm.multi_mode_multiply(X, [None if k == j else U.T for k, U in enumerate(factors)])
+            factors[j] = dm._polar_factor(dm.matricize(W, j) @ dm.matricize(core, j).T)
+        core = dm._core(X, factors, False)
+    return factors, core
+
+
+@pytest.mark.parametrize(
+    "dims, ranks, order",
+    [((14, 12, 10), (3, 4, 2), "F"), ((14, 12, 10), (3, 4, 2), "C"), ((9, 8, 7, 6), (3, 2, 3, 2), "C")],
+)
+@pytest.mark.parametrize("sweeps", [1, 2])
+def test_hooi_carried_products_match_the_textbook_sweep_bitwise(dims, ranks, order, sweeps):
+    # the sweep carries Xw x_{k<j} U_k^T from mode to mode, forming each
+    # array by the same mode products a fresh pass over Xw runs
+    X = np.asarray(noisy_tensor(dims, ranks, 0.1, 29), order=order)
+    config = DecomposerConfig(ranks=ranks, method="hooi", max_iters=sweeps, rel_tol=0.0)
+    T, report = decompose(X, config)
+    assert report.iterations == sweeps
+    factors, core = _textbook_hooi(X, config, sweeps)
+    assert T.core.tobytes() == core.tobytes()
+    assert [f.tobytes() for f in T.factors] == [f.tobytes() for f in factors]
+
+
+@pytest.mark.parametrize("sweeps", [1, 3])
+def test_hooi_reads_the_full_tensor_twice_per_sweep(sweeps, monkeypatch):
+    # once in the ST-HOSVD init, then W_0's first product and the carried
+    # head's first one per sweep; a fresh pass per W_j and core made it
+    # 2 + (q + 1) per sweep
+    X = noisy_tensor((12, 11, 10), (3, 3, 3), 0.1, 30)
+    full = []
+    counted_kernel = tensor_module.mode_multiply
+
+    def counted(Y, B, mode):
+        full.append(np.shape(Y) == X.shape)
+        return counted_kernel(Y, B, mode)
+
+    monkeypatch.setattr(tensor_module, "mode_multiply", counted)
+    monkeypatch.setattr(decompose_module, "mode_multiply", counted)
+    _, report = decompose(X, DecomposerConfig(ranks=(3, 3, 3), method="hooi", max_iters=sweeps, rel_tol=0.0))
+    assert report.iterations == sweeps
+    assert sum(full) == 1 + 2 * sweeps
+
+
+@pytest.mark.parametrize(
+    "method, init, max_iters, reason, iterations",
+    [
+        ("hooi", "hosvd", 100, "converged", None),
+        ("hooi", "random", 2, "max_iters", 2),
+        ("hosvd", "hosvd", 100, "no_sweeps", 1),
+    ],
+)
+def test_report_says_why_the_sweeps_stopped(method, init, max_iters, reason, iterations):
+    # from a random start the first sweeps gain far more fit than rel_tol
+    X = noisy_tensor((16, 14, 12), (3, 3, 3), 0.1, 31)
+    config = DecomposerConfig(ranks=(3, 3, 3), method=method, init=init, max_iters=max_iters, seed=2)
+    _, report = decompose(X, config)
+    assert report.stop_reason == reason
+    if reason == "converged":
+        assert report.iterations < max_iters
+        assert report.fit_trace[-1] - report.fit_trace[-2] < config.rel_tol
+    else:
+        assert report.iterations == iterations
+    assert json.loads(json.dumps(report.to_dict()))["stop_reason"] == reason
+
+
+@pytest.mark.parametrize(
+    "method, compress_modes, sizes",
+    [("hooi", None, [12, 30, 16]), ("hooi-re", (0, 2), [6, 30, 8]), ("hooi-re-star", None, [6, 15, 8])],
+)
+def test_report_lists_the_rows_sampled_per_mode(method, compress_modes, sizes):
+    X = noisy_tensor((12, 30, 16), (2, 3, 2), 0.1, 32)
+    config = DecomposerConfig(ranks=(2, 3, 2), method=method, dr=0.5, compress_modes=compress_modes, seed=3)
+    _, report = decompose(X, config)
+    assert report.sample_sizes == sizes
+    assert json.loads(json.dumps(report.to_dict()))["sample_sizes"] == sizes
