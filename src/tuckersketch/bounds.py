@@ -31,8 +31,8 @@ import numpy as np
 
 from . import rng
 from .embeddings import is_eps_jl, make_embedding
-from .tensor import (_check_count, _check_dims, _check_mode, _check_ranks, as_tensor, inner, matricize,
-                     mode_multiply, multi_mode_multiply, norm)
+from .tensor import (_check_count, _check_dims, _check_mode, _check_positive, _check_ranks, as_tensor, inner,
+                     matricize, mode_multiply, multi_mode_multiply, norm)
 from .tucker import (
     TuckerDecomposition,
     _weighted_sq_norm,
@@ -68,8 +68,7 @@ _FP_SLACK = 1e-12
 
 def _validate(eps, eta, trials=1, embed_dims=(), order=0) -> None:
     """Reject a bad eps, eta or trial count, or ``embed_dims`` not of length ``order``."""
-    if not 0.0 < eps:
-        raise ValueError(f"eps must be positive, got {eps}")
+    _check_positive("eps", eps)
     if not 0.0 < eta < 1.0:
         raise ValueError(f"eta must lie in (0, 1), got {eta}")
     _check_count("trials", trials)

@@ -10,9 +10,7 @@ the core is fitted to:
                     factor from a full-size unfolding) and zero sweeps.
 * ``hooi``          no compressed mode: mixing and unmixing are the
                     identity, no rows are sampled, and each sweep is the
-                    classic alternating scheme on the raw tensor, with
-                    the partial mode products shared across its modes
-                    (see below).
+                    classic alternating scheme on the raw tensor.
 * ``hooi-re``       the tensor is mixed once along the compressed modes
                     (random signs then orthonormal DCT-II), every sweep
                     redraws a row sample per compressed mode, factor
@@ -40,16 +38,15 @@ use the most recently updated core throughout a sweep.
 The one full-size array a run allocates is the mixed working copy
 ``Xw`` (none when no mode is compressed, where ``Xw`` is the input
 itself); every sketch, factor update and core update works on it.
-When no mode is sampled (``hooi``), mode j's update and the core share
-the prefix ``head = Xw x_{k<j} U_k^T`` over the factors already updated
-this sweep, so a sweep carries it from mode to mode (the memoised HOOI
-of Kaya & Ucar, ICPP 2016): ``W_j = head x_{k>j} U_k^T``, then
-``head <- head x_j U_j^T``, and after the last mode ``head`` is the
-core.  Each array is formed by the same mode products in the same order
-as a fresh ``multi_mode_multiply`` from ``Xw``, so the outputs do not
-change, but only two mode products per sweep, and one in the ST-HOSVD
-init, read all of ``Xw`` instead of q + 1 and two.  The sampled methods
-sketch ``Xw`` anew for every mode and share no prefix.
+Every sweep carries ``head = Xw x_{k<j} S_k^T`` from mode to mode (the
+memoised HOOI of Kaya & Ucar, ICPP 2016), S_k being U_k at mode k's
+sampled rows, or all of U_k on an uncompressed mode: ``W_j`` is
+``head`` row-sampled and contracted along the modes > j, then mode j
+takes its rows and ``head <- head x_j S_j^T``.  Every array gets the
+row takes and mode products of a fresh pass over ``Xw``, so the outputs
+match that pass bitwise, but a sweep reads all of ``Xw`` three times
+(``W_0``, the head's first step, the core) instead of q + 1, and
+``hooi``, whose core is ``head x_{q-1} U_{q-1}^T``, twice.
 
 Convergence is declared when the relative fit (1 - residual/norm),
 measured on the data the method actually fits (sketched data for
@@ -275,12 +272,11 @@ def _draw_samples(seed: int, it: int, shape, sizes: dict[int, int]) -> dict[int,
     return {j: draw_sample_rows(rng.stream(seed, rng.SAMPLE, it, j), shape[j], m) for j, m in sizes.items()}
 
 
-def _sketch(X: np.ndarray, samples, skip: int | None = None) -> np.ndarray:
-    """Row sampling of ``X`` along every compressed mode but ``skip``, with
-    no sqrt(n/m) scale: the solver's factors, cores and fits are scale-free."""
+def _sketch(X: np.ndarray, samples) -> np.ndarray:
+    """Row sampling of ``X`` along every mode of ``samples``, with no
+    sqrt(n/m) scale: the solver's factors, cores and fits are scale-free."""
     for k, rows in samples.items():
-        if k != skip:
-            X = np.take(X, rows, axis=k)
+        X = np.take(X, rows, axis=k)
     return X
 
 
@@ -381,31 +377,30 @@ def _run(X: np.ndarray, config: DecomposerConfig):
     fit_trace: list[float] = []
     fit_prev = -np.inf
     stop_reason = "max_iters" if sweeps else "no_sweeps"
-    # with nothing sampled, W_j and the core share the prefix
-    # head = Xw x_{k<j} U_k^T, carried through each sweep
-    carry = not sizes
     for it in range(1, sweeps + 1):
         ms = dict.fromkeys(STAGES, 0.0)
         with _timed(ms, "embed_generate"):
             samples = _draw_samples(config.seed, it, X.shape, sizes)
-        head = Xw
+        head = Xw  # Xw x_{k<j} S_k^T over the factors already updated
         for j in range(q):
             with _timed(ms, "embed_apply"):
-                Xj = _sketch(head, samples, skip=j)
+                Xj = _sketch(head, {k: rows for k, rows in samples.items() if k > j})
             with _timed(ms, "factor_update"):
                 sketched = _sketched_factors(factors, samples)
-                mats = [None if k == j or (carry and k < j) else S.T for k, S in enumerate(sketched)]
-                W = multi_mode_multiply(Xj, mats)
+                W = multi_mode_multiply(Xj, [S.T if k > j else None for k, S in enumerate(sketched)])
                 factors[j] = _polar_factor(matricize(W, j) @ matricize(core, j).T)
-                if carry and j < q - 1:
-                    head = mode_multiply(head, factors[j].T, j)
+            if j < q - 1:  # mode j takes its rows, then its new factor
+                with _timed(ms, "embed_apply"):
+                    head = _sketch(head, {k: rows for k, rows in samples.items() if k == j})
+                with _timed(ms, "factor_update"):
+                    head = mode_multiply(head, _sketched_factors(factors, samples)[j].T, j)
         # hooi-re fits the core to the fully sketched data, the others to Xw
         core_samples = samples if config.method == "hooi-re" else {}
         with _timed(ms, "embed_apply"):
             data = _sketch(Xw, core_samples)
         with _timed(ms, "core_update"):
             fitted = _sketched_factors(factors, core_samples)
-            if carry:
+            if config.method == "hooi":  # nothing sampled: one product from the head
                 core = mode_multiply(head, factors[-1].T, q - 1)
             else:
                 core = _core(data, fitted, bool(core_samples))

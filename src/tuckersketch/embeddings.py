@@ -24,7 +24,7 @@ from __future__ import annotations
 import numpy as np
 import scipy.fft
 
-from .tensor import _check_count, _check_mode, _check_ratio, as_tensor
+from .tensor import _check_count, _check_mode, _check_positive, _check_ratio, as_tensor
 
 __all__ = [
     "make_embedding",
@@ -128,8 +128,7 @@ def is_eps_jl(A: np.ndarray, vectors, eps: float) -> bool:
     Zero vectors pass vacuously (distortion 0).  The comparison is
     strict, matching the open-interval definition of the property.
     """
-    if eps <= 0:
-        raise ValueError(f"eps must be positive, got {eps}")
+    _check_positive("eps", eps)
     V = np.atleast_2d(as_tensor(vectors))
     if V.shape[1] != A.shape[1]:
         raise ValueError(f"vectors have length {V.shape[1]}, embedding expects {A.shape[1]}")

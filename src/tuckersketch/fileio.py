@@ -17,8 +17,8 @@ TKD1 (Tucker decomposition)::
                 then each factor j as n_j*R_j float64 values,
                 first-index-fastest (column by column)
 
-Readers reject wrong magic, zero dimensions, and payloads whose size
-does not match the header exactly.
+Writers and readers reject zero dimensions; readers also reject wrong
+magic and payloads whose size does not match the header exactly.
 """
 
 from __future__ import annotations
@@ -43,7 +43,10 @@ def _write(path, magic: bytes, what: str, modes: list[tuple[int, ...]], arrays) 
     ``modes`` (one tuple per mode) and each array first-index-fastest."""
     if not 1 <= len(modes) <= 255:
         raise ValueError(f"unsupported {what} order {len(modes)}")
-    blob = [magic, struct.pack("<B", len(modes)), np.asarray(modes, dtype="<u8").tobytes()]
+    header = tuple(v for m in modes for v in m)
+    if 0 in header:  # the reader's rule, checked before a byte is written
+        raise ValueError(f"zero dimension in header: {header}")
+    blob = [magic, struct.pack("<B", len(modes)), np.asarray(header, dtype="<u8").tobytes()]
     blob += [to_vec(a).astype("<f8").tobytes() for a in arrays]
     Path(path).write_bytes(b"".join(blob))
 

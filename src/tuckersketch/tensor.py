@@ -84,6 +84,12 @@ def _check_mode(mode, order: int, what: str = "mode") -> None:
         raise ValueError(f"{what} {mode!r} out of range for an order-{order} tensor")
 
 
+def _check_positive(name: str, value) -> None:
+    """Reject a ``value`` that is not a positive number, nan included."""
+    if not 0.0 < value:
+        raise ValueError(f"{name} must be positive, got {value}")
+
+
 def _check_ratio(dr) -> None:
     """Reject a dimension-reduction ratio outside (0, 1], nan included."""
     if not 0.0 < dr <= 1.0:

@@ -563,35 +563,99 @@ def test_hooi_init_unfolds_one_full_size_tensor():
     assert peak <= 1.5 * X.nbytes
 
 
-def _textbook_hooi(X, config, sweeps):
-    """hooi as textbooks write it: every W_j and every core a fresh pass
-    over ``X``, starting from ``_initial_guess``'s factors."""
+def _textbook_sweeps(X, config, sweeps):
+    """The iterative methods as textbooks write them, from
+    ``_initial_guess``'s factors: every W_j a fresh row take of the mixed
+    ``Xw`` along each compressed mode but j, then a fresh pass of mode
+    products, and every core a fresh pass by the method's rule."""
     dm = decompose_module
-    factors, _ = dm._initial_guess(X, config, {})
-    core = dm._core(X, factors, False)
-    for _ in range(sweeps):
+    modes = config.resolved_compress_modes(X.ndim) if config.method in dm.RANDOMIZED else ()
+    sizes = {j: dm.sample_size(config.dr, X.shape[j]) for j in modes}
+    signs = {j: dm.draw_signs(rng.stream(config.seed, rng.MIX, j), X.shape[j]) for j in modes}
+    Xw = dm.mix(X, signs)
+
+    def take(samples, skip=None):
+        data = Xw
+        for k, rows in samples.items():
+            if k != skip:
+                data = np.take(data, rows, axis=k)
+        return data
+
+    def sketched(samples):
+        return [U[samples[k]] if k in samples else U for k, U in enumerate(factors)]
+
+    samples = dm._draw_samples(config.seed, 0, X.shape, sizes)
+    factors, _ = dm._initial_guess(Xw, config, samples)
+    core = dm._core(take(samples), sketched(samples), bool(samples))
+    for it in range(1, sweeps + 1):
+        samples = dm._draw_samples(config.seed, it, X.shape, sizes)
         for j in range(X.ndim):
-            W = dm.multi_mode_multiply(X, [None if k == j else U.T for k, U in enumerate(factors)])
+            mats = [None if k == j else S.T for k, S in enumerate(sketched(samples))]
+            W = dm.multi_mode_multiply(take(samples, j), mats)
             factors[j] = dm._polar_factor(dm.matricize(W, j) @ dm.matricize(core, j).T)
-        core = dm._core(X, factors, False)
-    return factors, core
+        if config.method == "hooi-re":
+            core = dm._core(take(samples), sketched(samples), True)
+        else:
+            core = dm._core(Xw, factors, False)
+    return [dm.unmix_factor(f, signs.get(j)) for j, f in enumerate(factors)], core
+
+
+_SAMPLED_CASES = [
+    pytest.param(dims, ranks, order, method, modes, id=f"{method}-{len(dims)}way-{order}-modes{modes}")
+    for method in ("hooi-re", "hooi-re-star")
+    for dims, ranks, order, modes in [
+        ((14, 12, 10), (3, 4, 2), "F", None),
+        ((14, 12, 10), (3, 4, 2), "C", None),
+        ((14, 12, 10), (3, 4, 2), "F", (0, 2)),
+        ((14, 12, 10), (3, 4, 2), "C", (0, 2)),
+        ((9, 8, 7, 6), (3, 2, 3, 2), "C", None),
+        ((9, 8, 7, 6), (3, 2, 3, 2), "F", (0, 2)),
+    ]
+]
 
 
 @pytest.mark.parametrize(
-    "dims, ranks, order",
-    [((14, 12, 10), (3, 4, 2), "F"), ((14, 12, 10), (3, 4, 2), "C"), ((9, 8, 7, 6), (3, 2, 3, 2), "C")],
+    "dims, ranks, order, method, compress_modes",
+    [
+        pytest.param((14, 12, 10), (3, 4, 2), "F", "hooi", None, id="dims0-ranks0-F"),
+        pytest.param((14, 12, 10), (3, 4, 2), "C", "hooi", None, id="dims1-ranks1-C"),
+        pytest.param((9, 8, 7, 6), (3, 2, 3, 2), "C", "hooi", None, id="dims2-ranks2-C"),
+        *_SAMPLED_CASES,
+    ],
 )
 @pytest.mark.parametrize("sweeps", [1, 2])
-def test_hooi_carried_products_match_the_textbook_sweep_bitwise(dims, ranks, order, sweeps):
-    # the sweep carries Xw x_{k<j} U_k^T from mode to mode, forming each
-    # array by the same mode products a fresh pass over Xw runs
+def test_hooi_carried_products_match_the_textbook_sweep_bitwise(dims, ranks, order, method, compress_modes, sweeps):
+    # the sweep carries Xw x_{k<j} S_k^T from mode to mode, a sampled mode
+    # taking its rows before it is contracted, and forms each array by the
+    # same row takes and mode products as a fresh pass over Xw
     X = np.asarray(noisy_tensor(dims, ranks, 0.1, 29), order=order)
-    config = DecomposerConfig(ranks=ranks, method="hooi", max_iters=sweeps, rel_tol=0.0)
+    config = DecomposerConfig(ranks=ranks, method=method, dr=0.5, compress_modes=compress_modes, seed=4,
+                              max_iters=sweeps, rel_tol=0.0)
     T, report = decompose(X, config)
     assert report.iterations == sweeps
-    factors, core = _textbook_hooi(X, config, sweeps)
+    factors, core = _textbook_sweeps(X, config, sweeps)
     assert T.core.tobytes() == core.tobytes()
     assert [f.tobytes() for f in T.factors] == [f.tobytes() for f in factors]
+
+
+def _count_full_reads(monkeypatch, shapes):
+    """Record, per call of ``mode_multiply`` or ``np.take``, whether its
+    input has a shape in ``shapes``."""
+    full = []
+    kernel, take = tensor_module.mode_multiply, np.take
+
+    def counted_kernel(Y, B, mode):
+        full.append(np.shape(Y) in shapes)
+        return kernel(Y, B, mode)
+
+    def counted_take(Y, rows, axis=None):
+        full.append(np.shape(Y) in shapes)
+        return take(Y, rows, axis=axis)
+
+    monkeypatch.setattr(tensor_module, "mode_multiply", counted_kernel)
+    monkeypatch.setattr(decompose_module, "mode_multiply", counted_kernel)
+    monkeypatch.setattr(np, "take", counted_take)
+    return full
 
 
 @pytest.mark.parametrize("sweeps", [1, 3])
@@ -599,19 +663,29 @@ def test_hooi_reads_the_full_tensor_twice_per_sweep(sweeps, monkeypatch):
     # once in the ST-HOSVD init, then W_0's first product and the carried
     # head's first one per sweep; a fresh pass per W_j and core made it
     # 2 + (q + 1) per sweep
-    X = noisy_tensor((12, 11, 10), (3, 3, 3), 0.1, 30)
-    full = []
-    counted_kernel = tensor_module.mode_multiply
-
-    def counted(Y, B, mode):
-        full.append(np.shape(Y) == X.shape)
-        return counted_kernel(Y, B, mode)
-
-    monkeypatch.setattr(tensor_module, "mode_multiply", counted)
-    monkeypatch.setattr(decompose_module, "mode_multiply", counted)
+    tensors = [noisy_tensor(dims, (3,) * len(dims), 0.1, 30) for dims in ((12, 11, 10), (9, 8, 7, 6))]
+    full = _count_full_reads(monkeypatch, [X.shape for X in tensors])
+    X = tensors[0]
     _, report = decompose(X, DecomposerConfig(ranks=(3, 3, 3), method="hooi", max_iters=sweeps, rel_tol=0.0))
     assert report.iterations == sweeps
     assert sum(full) == 1 + 2 * sweeps
+    # a sampled sweep reads Xw three times whatever the order: W_0's row
+    # take, the carried head's first row take or product, and the core's
+    # row take or projection; a fresh take per W_j made it q + 1.  The
+    # difference to a one-sweep run leaves out the init and finalize (a
+    # sketched fit may fall and stop the run early, so count what ran)
+    for X in tensors:
+        for method in ("hooi-re", "hooi-re-star"):
+            for modes in (None, (1, 2)):
+                reads, iterations = [], []
+                for max_iters in (1, 1 + sweeps):
+                    full.clear()
+                    config = DecomposerConfig(ranks=(3,) * X.ndim, method=method, dr=0.5, compress_modes=modes,
+                                              seed=3, max_iters=max_iters, rel_tol=0.0)
+                    iterations.append(decompose(X, config)[1].iterations)
+                    reads.append(sum(full))
+                assert iterations[1] > iterations[0] == 1
+                assert reads[1] - reads[0] == 3 * (iterations[1] - 1), (X.shape, method, modes)
 
 
 @pytest.mark.parametrize(
@@ -646,3 +720,40 @@ def test_report_lists_the_rows_sampled_per_mode(method, compress_modes, sizes):
     _, report = decompose(X, config)
     assert report.sample_sizes == sizes
     assert json.loads(json.dumps(report.to_dict()))["sample_sizes"] == sizes
+
+
+def _layouts(X):
+    """The same values as C- and F-ordered copies, a strided view, a
+    reversed-stride view and two transposed views."""
+    big = np.zeros((2 * X.shape[0],) + X.shape[1:])
+    big[::2] = X
+    return {
+        "C": np.ascontiguousarray(X),
+        "F": np.asfortranarray(X),
+        "strided": big[::2],
+        "reversed": np.ascontiguousarray(X[::-1, ::-1, ::-1])[::-1, ::-1, ::-1],
+        "transposed": np.ascontiguousarray(X.transpose(2, 1, 0)).transpose(2, 1, 0),
+        "permuted": np.ascontiguousarray(X.transpose(1, 2, 0)).transpose(2, 0, 1),
+    }
+
+
+@pytest.mark.parametrize("method", METHODS)
+def test_output_does_not_depend_on_the_memory_layout(method):
+    # the sampled methods mix into one C-ordered copy first, so every
+    # layout gives the same bytes; hosvd and hooi contract the input as
+    # laid out, and BLAS may sum in another order (at R=4 the F-ordered
+    # and transposed inputs move hooi's core and error by 1.7e-16)
+    X = noisy_tensor((40, 36, 30), (4, 4, 4), 0.1, 5)
+    config = DecomposerConfig(ranks=(4, 4, 4), method=method, dr=0.5, seed=5)
+    runs = {name: decompose(Y, config) for name, Y in _layouts(X).items()}
+    T0, r0 = runs["C"]
+    for name, (T, report) in runs.items():
+        assert report.iterations == r0.iterations, name
+        if method in ("hooi-re", "hooi-re-star"):
+            assert T.core.tobytes() == T0.core.tobytes(), name
+            assert [f.tobytes() for f in T.factors] == [f.tobytes() for f in T0.factors], name
+            assert report.fit_trace == r0.fit_trace and report.final_error == r0.final_error, name
+        else:
+            assert norm(T.core - T0.core) <= 1e-13 * norm(T0.core), name
+            assert all(norm(f - f0) <= 1e-13 for f, f0 in zip(T.factors, T0.factors)), name
+            assert abs(report.final_error - r0.final_error) <= 1e-13 * r0.final_error, name

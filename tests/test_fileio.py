@@ -128,3 +128,18 @@ def test_readers_reject_header_whose_size_overflows_u64(tmp_path):
     path.write_bytes(b"TKD1" + bytes([2]) + np.asarray(huge + huge, dtype="<u8").tobytes())
     with pytest.raises(ValueError, match="truncated"):
         read_decomposition(path)
+
+
+@pytest.mark.parametrize(
+    "write, value",
+    [
+        (write_tensor, np.zeros((0, 3))),
+        (write_decomposition, TuckerDecomposition(np.zeros((0, 2)), [np.zeros((3, 0)), np.eye(2)])),
+    ],
+)
+def test_writers_reject_a_zero_header_value_and_write_nothing(tmp_path, write, value):
+    # both writes used to succeed, and the readers refused the files
+    path = tmp_path / "zero.bin"
+    with pytest.raises(ValueError, match="zero dimension in header"):
+        write(path, value)
+    assert not path.exists()

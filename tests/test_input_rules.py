@@ -1,9 +1,9 @@
 """One home per input rule.
 
 Every entry point that takes an integer, a count, per-mode ranks, a
-0-based mode index or a dimension-reduction ratio applies the same rule,
-with the same message, through the shared checks of
-``tuckersketch.tensor``.  The regression tests name inputs that used to
+0-based mode index, a dimension-reduction ratio or a distortion eps
+applies the same rule, with the same message, through the shared checks
+of ``tuckersketch.tensor``.  The regression tests name inputs that used to
 end in a TypeError deep in the solver, run a truncated experiment and
 pass, or return an empty result.
 """
@@ -16,7 +16,7 @@ import pytest
 from tuckersketch import bounds, rng
 from tuckersketch.bench import BenchConfig, run_bench, synth_tensor
 from tuckersketch.decompose import DecomposerConfig, decompose, hosvd
-from tuckersketch.embeddings import make_embedding, mix, sample_size
+from tuckersketch.embeddings import is_eps_jl, make_embedding, mix, sample_size
 from tuckersketch.tensor import from_vec, matricize, mode_multiply
 from tuckersketch.tucker import apply_mode_map, mode_coherence, norm_via_gram, psi_matrix, random_orthogonal_tucker
 
@@ -190,6 +190,26 @@ def test_ratio_rule_gives_one_message(entry):
     for bad in (0.0, -0.1, 1.5, float("nan")):
         with pytest.raises(ValueError, match=exact(f"dr must be in (0, 1], got {bad}")):
             RATIO_ENTRIES[entry](bad)
+
+
+EPS_ENTRIES = {
+    "is_eps_jl": lambda eps: is_eps_jl(np.eye(4), np.ones((1, 4)), eps),
+    "check_inner_product_bound": lambda eps: bounds.check_inner_product_bound(np.eye(4), np.ones(4), np.ones(4), eps),
+    "check_multimode_distortion": lambda eps: multimode(eps=eps),
+    "embedding_dim_bound": lambda eps: bounds.embedding_dim_bound(eps, 0.1, (2, 2)),
+    "run_lemma_a_suite": lambda eps: bounds.run_lemma_a_suite(trials=1, eps=eps, n=8, m=4),
+    "run_prop1_suite": lambda eps: bounds.run_prop1_suite(target=1, eps=eps, dims=(6, 6, 6), ranks=(2, 2, 2), m=4),
+}
+
+
+@pytest.mark.parametrize("entry", EPS_ENTRIES)
+def test_positive_eps_rule_gives_one_message(entry):
+    # is_eps_jl used to test eps <= 0, which nan passes: it returned False,
+    # and check_inner_product_bound None, a discarded draw, not an error,
+    # so the lemma-a and prop1 suites ran every trial and reported FAIL
+    for bad in (0.0, -0.5, float("nan")):
+        with pytest.raises(ValueError, match=exact(f"eps must be positive, got {bad}")):
+            EPS_ENTRIES[entry](bad)
 
 
 def test_residual_check_rejects_its_inputs_before_any_work(monkeypatch):
