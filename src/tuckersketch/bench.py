@@ -3,8 +3,8 @@
 A bench run sweeps (method x rank x reduction ratio x replication) over
 one input tensor.  Randomized methods draw an independent seed per cell
 from the root seed, so error columns reproduce bitwise across reruns of
-the same configuration.  A run that raises is recorded as a row with
-NaN error and listed in the summary rather than aborting the sweep.
+the same configuration.  A run that raises stops the sweep with the
+solver's error, as ``decompose`` does, and nothing is written.
 """
 
 from __future__ import annotations
@@ -150,7 +150,6 @@ def run_bench(X, config: BenchConfig, csv_path=None, summary_path=None):
     config.validate(X.shape)
     q = X.ndim
     rows: list[BenchRow] = []
-    failed: list[dict] = []
     for method, R, dr, rep in _cells(config):
         run_seed = _run_seed(config.seed, method, R, dr, rep)
         dconf = DecomposerConfig(
@@ -160,19 +159,15 @@ def run_bench(X, config: BenchConfig, csv_path=None, summary_path=None):
             compress_modes=config.compress_modes,
             seed=run_seed,
         )
-        cell = dict(method=method, R=R, dr=dr, rep=rep, seed=run_seed)
         t0 = time.perf_counter()
-        try:
-            _, report = decompose(X, dconf)
-        except Exception as exc:  # record, do not abort the sweep
-            failed.append({"method": method, "R": R, "dr": dr, "rep": rep, "error": str(exc)})
-            nan = float("nan")
-            rows.append(BenchRow(**cell, iters=0, time_total_s=time.perf_counter() - t0, error=nan,
-                                 **dict.fromkeys(_TIMINGS, nan)))
-            continue
+        _, report = decompose(X, dconf)
         rows.append(
             BenchRow(
-                **cell,
+                method=method,
+                R=R,
+                dr=dr,
+                rep=rep,
+                seed=run_seed,
                 iters=report.iterations,
                 time_total_s=time.perf_counter() - t0,
                 error=report.final_error,
@@ -183,7 +178,6 @@ def run_bench(X, config: BenchConfig, csv_path=None, summary_path=None):
             )
         )
     summary = summarize(rows)
-    summary["failed_runs"] = failed
     if csv_path is not None:
         write_rows(csv_path, rows)
     if summary_path is not None:
@@ -215,8 +209,6 @@ def summarize(rows: list[BenchRow]) -> dict:
     mean per-iteration stage costs."""
     cells: dict[tuple, list[BenchRow]] = {}
     for row in rows:
-        if np.isnan(row.error):
-            continue
         cells.setdefault((row.method, row.R, row.dr), []).append(row)
     out = {"n_rows": len(rows), "cells": []}
     for (method, R, dr), group in sorted(cells.items()):

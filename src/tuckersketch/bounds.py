@@ -369,9 +369,10 @@ def estimate_subspace_dim(core, factors, mode: int) -> int:
     ``n_mode * rank(W)``; that number is returned.  ``factors[mode]``
     only supplies n_mode.  Used for reporting only.
     """
-    W = psi_matrix(core, factors, mode)
+    _check_mode(mode, np.ndim(core))
     if factors[mode] is None:
         raise ValueError("the free mode still needs a row count; pass a placeholder factor")
+    W = psi_matrix(core, factors, mode)
     return factors[mode].shape[0] * int(np.linalg.matrix_rank(W))
 
 

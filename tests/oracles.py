@@ -9,6 +9,7 @@ dense route: they materialise every tensor and every embedding matrix.
 import numpy as np
 import scipy.fft
 
+from tuckersketch.bench import synth_tensor
 from tuckersketch.bounds import _trial, _trial_embeddings
 from tuckersketch.tensor import multi_mode_multiply, norm
 from tuckersketch.tucker import TuckerDecomposition, random_orthogonal_tucker, reconstruct
@@ -63,6 +64,18 @@ def st_hosvd_oracle(X, ranks):
 def integer_tensor(gen, shape, low=-4, high=5):
     """Random small-integer tensor; float64 arithmetic on it is exact."""
     return gen.integers(low, high, size=shape).astype(np.float64)
+
+
+def unsolvable(kind):
+    """An 8x8x8 tensor that decompose rejects: all zeros ("zero"), one
+    inf entry ("inf") or a squared norm that overflows float64 ("huge")."""
+    X = synth_tensor((8, 8, 8), (2, 2, 2), 0.1, 0)
+    if kind == "zero":
+        return np.zeros_like(X)
+    if kind == "inf":
+        X[3, 1, 4] = np.inf
+        return X
+    return 1e160 * X
 
 
 def dct_matrix(n):

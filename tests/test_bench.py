@@ -1,3 +1,5 @@
+import re
+
 import numpy as np
 import pytest
 
@@ -9,9 +11,11 @@ from tuckersketch.bench import (
     summarize,
     synth_tensor,
 )
-from tuckersketch.decompose import hosvd, reconstruction_error
+from tuckersketch.decompose import DecomposerConfig, decompose, hosvd, reconstruction_error
 from tuckersketch.fileio import write_tensor, read_tensor
 from tuckersketch.tensor import norm
+
+from oracles import unsolvable
 
 
 def test_synth_noiseless_is_exactly_low_rank():
@@ -88,6 +92,8 @@ def test_bench_config_validation():
     X = np.ones((6, 6, 6))
     with pytest.raises(ValueError):
         run_bench(X, BenchConfig(methods=(), ranks=(2,)))
+    with pytest.raises(ValueError, match="^no ranks selected$"):
+        run_bench(X, BenchConfig(methods=("hooi",), ranks=()))
     with pytest.raises(ValueError):
         run_bench(X, BenchConfig(methods=("hooi", "bogus"), ranks=(2,)))
     with pytest.raises(ValueError, match=r"rank 9 for mode 0 must be in \[1, 6\]"):
@@ -114,9 +120,23 @@ def test_bench_rejects_compressed_modes_the_solver_rejects(modes):
             run_bench(X, BenchConfig(methods=methods, ranks=(2,), dr_grid=(0.5,), reps=1,
                                      compress_modes=modes))
     # a deterministic sweep never reads them
-    rows, summary = run_bench(X + np.arange(6.0), BenchConfig(methods=("hooi",), ranks=(2,), reps=1,
-                                                             compress_modes=modes))
-    assert len(rows) == 1 and not summary["failed_runs"]
+    rows, _ = run_bench(X + np.arange(6.0), BenchConfig(methods=("hooi",), ranks=(2,), reps=1,
+                                                       compress_modes=modes))
+    assert len(rows) == 1
+
+
+@pytest.mark.parametrize("kind", ["zero", "inf", "huge"])
+def test_a_run_that_raises_stops_the_bench_with_the_solver_error(kind, tmp_path):
+    # each used to give one all-NaN row per run and a sweep that completed
+    X = unsolvable(kind)
+    with pytest.raises(ValueError) as solver:
+        decompose(X, DecomposerConfig(ranks=(2, 2, 2)))
+    csv_path = tmp_path / "rows.csv"
+    summary_path = tmp_path / "rows.summary.json"
+    config = BenchConfig(methods=("hosvd", "hooi", "hooi-re"), ranks=(2,), dr_grid=(0.5, 1.0), reps=3)
+    with pytest.raises(ValueError, match=f"^{re.escape(str(solver.value))}$"):
+        run_bench(X, config, csv_path=csv_path, summary_path=summary_path)
+    assert not csv_path.exists() and not summary_path.exists()
 
 
 def test_bench_deterministic_methods_have_zero_spread():

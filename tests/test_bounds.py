@@ -20,7 +20,7 @@ from tuckersketch.bounds import (
     run_prop1_suite,
 )
 from tuckersketch.embeddings import make_embedding
-from tuckersketch import rng
+from tuckersketch import bounds, rng
 from tuckersketch.tensor import mode_multiply, norm
 from tuckersketch.tucker import TuckerDecomposition, random_orthogonal_tucker, reconstruct
 
@@ -313,6 +313,14 @@ def test_estimate_subspace_dim_matches_sampled_rank(mode):
     # the mode is range-checked before the factor lookup
     with pytest.raises(ValueError, match="out of range"):
         estimate_subspace_dim(core, factors, mode + 3)
+
+
+def test_estimate_subspace_dim_needs_the_free_factor_before_any_work(monkeypatch):
+    # the weight matrix used to be built first, then thrown away
+    _, core, factors = oblique_problem((6, 7, 8), (2, 3, 2), 60)
+    monkeypatch.setattr(bounds, "psi_matrix", lambda *args: pytest.fail("built the weight matrix"))
+    with pytest.raises(ValueError, match="^the free mode still needs a row count; pass a placeholder factor$"):
+        estimate_subspace_dim(core, [factors[0], None, factors[2]], 1)
 
 
 @pytest.mark.parametrize("mode", [0, 1, 2])

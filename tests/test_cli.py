@@ -11,6 +11,8 @@ from tuckersketch.cli import main
 from tuckersketch.decompose import DecomposerConfig, decompose, reconstruction_error
 from tuckersketch.fileio import read_decomposition, read_tensor, write_tensor
 
+from oracles import unsolvable
+
 
 def test_synth_writes_tensor_matching_library(tmp_path):
     out = tmp_path / "x.tkr"
@@ -63,7 +65,7 @@ def test_decompose_full_sampling_matches_hooi(tmp_path):
     assert report["iterations"] >= 1
 
 
-def test_decompose_compress_modes_one_based(tmp_path):
+def test_decompose_compress_modes_one_based(tmp_path, capsys):
     x_path = tmp_path / "x.tkr"
     t_path = tmp_path / "t.tkd"
     write_tensor(x_path, synth_tensor((9, 9, 9), (2, 2, 2), 0.0, 3))
@@ -82,6 +84,13 @@ def test_decompose_compress_modes_one_based(tmp_path):
     assert rc == 0
     T = read_decomposition(t_path)
     assert T.ranks == (2, 2, 2)
+    for mode in ("0", "4"):
+        t_path.unlink(missing_ok=True)
+        rc = main(["decompose", "--input", str(x_path), "--method", "hooi-re", "--ranks", "2,2,2",
+                   "--dr", "0.6", "--compress-modes", mode, "--out", str(t_path)])
+        assert rc == 1
+        assert f"error: mode {mode} out of range 1..3" in capsys.readouterr().err
+        assert not t_path.exists()
 
 
 def test_verify_lemma21_passes(tmp_path):
@@ -260,6 +269,22 @@ def test_bench_cli_rejects_duplicate_compressed_modes(tmp_path, capsys):
     assert not out.exists()
 
 
+@pytest.mark.parametrize("kind", ["zero", "inf", "huge"])
+def test_bench_stops_with_the_decompose_error(kind, tmp_path, capsys):
+    # bench used to write one all-NaN row per run and exit 0
+    x_path = tmp_path / "x.tkr"
+    write_tensor(x_path, unsolvable(kind))
+    assert main(["decompose", "--input", str(x_path), "--ranks", "2,2,2"]) == 1
+    expected = capsys.readouterr().err
+    out = tmp_path / "run.csv"
+    rc = main(["bench", "--input", str(x_path), "--methods", "hosvd,hooi,hooi-re", "--ranks", "2",
+               "--dr-grid", "0.5,1.0", "--reps", "3", "--out", str(out)])
+    assert rc == 1
+    captured = capsys.readouterr()
+    assert captured.out == "" and captured.err == expected
+    assert not out.exists() and not (tmp_path / "run.summary.json").exists()
+
+
 def test_missing_input_reports_error(tmp_path, capsys):
     rc = main(
         [
@@ -277,4 +302,8 @@ def test_missing_input_reports_error(tmp_path, capsys):
 def test_bad_flag_value_is_usage_error(tmp_path):
     with pytest.raises(SystemExit) as exc:
         main(["synth", "--dims", "8,8,8", "--ranks", "two", "--out", str(tmp_path / "x.tkr")])
+    assert exc.value.code == 2
+    with pytest.raises(SystemExit) as exc:
+        main(["bench", "--input", str(tmp_path / "x.tkr"), "--ranks", "2", "--dr-grid", "0.5,x",
+              "--out", str(tmp_path / "run.csv")])
     assert exc.value.code == 2

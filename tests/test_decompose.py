@@ -16,7 +16,7 @@ from tuckersketch.decompose import (
     hosvd,
     reconstruction_error,
 )
-from tuckersketch.tensor import inner, norm
+from tuckersketch.tensor import inner, mode_multiply, norm
 from tuckersketch.tucker import TuckerDecomposition, reconstruct
 
 from oracles import matricize_oracle, st_hosvd_oracle
@@ -34,6 +34,8 @@ def test_config_validation():
         decompose(X, DecomposerConfig(ranks=(2, 2), method="hooi"))
     with pytest.raises(ValueError):
         decompose(X, DecomposerConfig(ranks=(2, 2, 2), method="nope"))
+    with pytest.raises(ValueError, match="^unknown init 'svd', expected 'hosvd' or 'random'$"):
+        decompose(X, DecomposerConfig(ranks=(2, 2, 2), init="svd"))
     with pytest.raises(ValueError):
         decompose(X, DecomposerConfig(ranks=(2, 2, 2), method="hooi-re", dr=0.0))
     with pytest.raises(ValueError):
@@ -757,3 +759,36 @@ def test_output_does_not_depend_on_the_memory_layout(method):
             assert norm(T.core - T0.core) <= 1e-13 * norm(T0.core), name
             assert all(norm(f - f0) <= 1e-13 for f, f0 in zip(T.factors, T0.factors)), name
             assert abs(report.final_error - r0.final_error) <= 1e-13 * r0.final_error, name
+
+
+@pytest.mark.parametrize("method", METHODS)
+def test_power_of_two_scaling_scales_core_and_error_exactly(method):
+    # every step is linear in X or scale-free, and a power of two scales
+    # each float exactly, so the run is the same run in another exponent
+    X = noisy_tensor((24, 20, 18), (4, 3, 3), 0.1, 5)
+    config = DecomposerConfig(ranks=(4, 3, 3), method=method, dr=0.5, seed=3)
+    T0, r0 = decompose(X, config)
+    for k in (-200, -1, 1, 200):
+        s = 2.0**k
+        T, report = decompose(s * X, config)
+        assert T.core.tobytes() == (s * T0.core).tobytes(), k
+        assert [f.tobytes() for f in T.factors] == [f.tobytes() for f in T0.factors], k
+        assert report.final_error == s * r0.final_error, k
+        assert report.fit_trace == r0.fit_trace and report.iterations == r0.iterations, k
+
+
+@pytest.mark.parametrize("method", ["hosvd", "hooi"])
+def test_orthogonal_map_along_a_mode_turns_only_that_subspace(method):
+    # X x_1 Q turns the left singular vectors of the mode-1 unfolding by Q
+    # and leaves those of every other unfolding, and every spectrum, as
+    # they were
+    X = noisy_tensor((24, 20, 18), (4, 3, 3), 0.1, 5)
+    Q, _ = np.linalg.qr(np.random.default_rng(9).standard_normal((20, 20)))
+    config = DecomposerConfig(ranks=(4, 3, 3), method=method)
+    T0, r0 = decompose(X, config)
+    T, report = decompose(mode_multiply(X, Q, 1), config)
+    for j, (f, f0) in enumerate(zip(T.factors, T0.factors)):
+        g = Q @ f0 if j == 1 else f0
+        assert np.linalg.norm(f @ f.T - g @ g.T, 2) <= 1e-12, j
+    assert abs(report.final_error - r0.final_error) <= 1e-12 * r0.final_error
+    assert report.iterations == r0.iterations

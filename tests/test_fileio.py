@@ -17,6 +17,13 @@ def test_tensor_writer_rejects_complex_values(tmp_path):
     assert not path.exists()
 
 
+def test_tensor_writer_rejects_a_scalar(tmp_path):
+    path = tmp_path / "s.tkr"
+    with pytest.raises(ValueError, match="^unsupported tensor order 0$"):
+        write_tensor(path, 3.0)
+    assert not path.exists()
+
+
 def test_tensor_round_trip(tmp_path):
     gen = np.random.default_rng(0)
     for shape in [(3,), (2, 5), (4, 3, 2), (2, 2, 2, 3)]:
@@ -63,6 +70,10 @@ def test_tensor_reader_rejects_malformed(tmp_path):
 
     bad.write_bytes(bytes(raw) + b"\x00" * 4)
     with pytest.raises(ValueError, match="trailing"):
+        read_tensor(bad)
+
+    bad.write_bytes(b"TKR1" + bytes([0]) + bytes(raw[5:]))
+    with pytest.raises(ValueError, match="^tensor order must be at least 1$"):
         read_tensor(bad)
 
 

@@ -41,6 +41,8 @@ def test_orthogonal_reconstruction_preserves_core_norm():
 def test_constructor_validation():
     with pytest.raises(ValueError):
         TuckerDecomposition(np.zeros((2, 2)), [np.zeros((3, 2))])  # missing factor
+    with pytest.raises(ValueError, match="^factor 0 is not a matrix$"):
+        TuckerDecomposition(np.zeros(3), [np.zeros(3)])
     with pytest.raises(ValueError):
         TuckerDecomposition(np.zeros((2, 2)), [np.zeros((3, 2)), np.zeros((3, 1))])  # rank mismatch
     with pytest.raises(ValueError):
