@@ -31,10 +31,11 @@ import numpy as np
 
 from . import rng
 from .embeddings import is_eps_jl, make_embedding
-from .tensor import (_check_count, _check_dims, _check_mode, _check_positive, _check_ranks, as_tensor, inner,
-                     matricize, mode_multiply, multi_mode_multiply, norm)
+from .tensor import (_check_count, _check_dims, _check_mode, _check_positive, _check_ranks, _plain,
+                     as_tensor, matricize, mode_multiply, multi_mode_multiply, norm)
 from .tucker import (
     TuckerDecomposition,
+    _psi_gram,
     _weighted_sq_norm,
     apply_mode_map,
     mode_coherence,
@@ -99,7 +100,7 @@ class BoundReport:
         return self.failures / self.trials if self.trials else 0.0
 
     def to_dict(self) -> dict:
-        return {
+        return _plain({
             "name": self.name,
             "trials": self.trials,
             "failures": self.failures,
@@ -107,21 +108,9 @@ class BoundReport:
             "failure_fraction": self.failure_fraction,
             "threshold": self.threshold,
             "passed": self.passed,
-            "distortions": [float(d) for d in self.distortions],
-            "details": _plain(self.details),
-        }
-
-
-def _plain(obj):
-    if isinstance(obj, dict):
-        return {k: _plain(v) for k, v in obj.items()}
-    if isinstance(obj, (list, tuple)):
-        return [_plain(v) for v in obj]
-    if isinstance(obj, (np.floating, np.integer)):
-        return obj.item()
-    if isinstance(obj, np.ndarray):
-        return obj.tolist()
-    return obj
+            "distortions": self.distortions,
+            "details": self.details,
+        })
 
 
 def max_admissible_eps(rmax: int, order: int) -> float:
@@ -219,7 +208,7 @@ def check_prop1(T: TuckerDecomposition, A: np.ndarray, mode: int, eps: float) ->
     The norms in (iii) are taken on the core: ``||Y||^2 = ||G||^2`` for
     orthonormal factors, and the mapped norm is the Gram evaluation of
     :func:`~tuckersketch.tucker.norm_via_gram`, sharing the weight Gram
-    matrix with the envelope.
+    matrix, formed on the core, with the envelope.
 
     Returns None for a draw that fails the hypothesis, else ``ok`` (all
     three held) with each conclusion's flag and the numbers it compares.
@@ -244,8 +233,7 @@ def check_prop1(T: TuckerDecomposition, A: np.ndarray, mode: int, eps: float) ->
         if k != mode
     )
 
-    psi = psi_matrix(T.core, T.factors, mode)
-    weight = psi @ psi.T
+    weight = _psi_gram(T.core, T.factors, mode)
     sq_old = norm(T.core) ** 2
     sq_new = _weighted_sq_norm(weight, A @ T.factors[mode])
     envelope = eps * float(np.sum(np.abs(weight)))
@@ -262,15 +250,6 @@ def check_prop1(T: TuckerDecomposition, A: np.ndarray, mode: int, eps: float) ->
         "norm_shift": abs(sq_new - sq_old),
         "norm_envelope": envelope,
     }
-
-
-def _sq_norm_on_core(core: np.ndarray, factors) -> float:
-    """Squared norm of ``core`` multiplied by ``factors[k]`` along every mode k.
-
-    Evaluated on the core as ``<G, G x_k A_k^T A_k>``, so the full tensor
-    is never formed.
-    """
-    return inner(core, multi_mode_multiply(core, [A.T @ A for A in factors]))
 
 
 def _tail_report(
@@ -317,8 +296,9 @@ def check_multimode_distortion(
     the relative squared-norm distortion.  Embedding a Tucker
     tensor along every mode gives the Tucker tensor with embedded factors,
     ``(G x_k F_k) x_k E_k = G x_k (E_k F_k)``, so only the n_k-by-R_k
-    factors are embedded and both squared norms are evaluated on the core
-    as ``<G, G x_k A_k^T A_k>`` with ``A_k = F_k`` and ``A_k = E_k F_k``;
+    factors are embedded and both squared norms are taken on the core:
+    ``||G||^2`` for orthonormal factors, and the mode-0 Gram evaluation of
+    :func:`~tuckersketch.tucker.norm_via_gram` for the embedded ones;
     no full-size tensor is formed.  Passing means the fraction of trials
     exceeding eps is at most eta plus binomial slack.  Raises if eps sits
     outside the admissible range of the guarantee being checked.
@@ -330,8 +310,8 @@ def check_multimode_distortion(
     def distortion(gen: np.random.Generator) -> float:
         T = random_orthogonal_tucker(dims, ranks, gen)
         embedded = [E @ F for E, F in zip(_trial_embeddings(family, dims, embed_dims, gen), T.factors)]
-        sq = _sq_norm_on_core(T.core, T.factors)
-        return abs(_sq_norm_on_core(T.core, embedded) - sq) / sq
+        sq = norm(T.core) ** 2
+        return abs(_weighted_sq_norm(_psi_gram(T.core, embedded, 0), embedded[0]) - sq) / sq
 
     return _tail_report(
         "multimode-distortion", distortion, max_admissible_eps, ranks, embed_dims, eps, eta, trials, seed, family

@@ -85,8 +85,8 @@ import numpy as np
 
 from . import rng
 from .embeddings import draw_sample_rows, draw_signs, mix, sample_size, unmix_factor
-from .tensor import (_check_count, _check_mode, _check_ranks, _check_ratio, as_tensor, inner, matricize,
-                     mode_multiply, multi_mode_multiply, norm)
+from .tensor import (_check_count, _check_mode, _check_ranks, _check_ratio, _plain, as_tensor, inner,
+                     matricize, mode_multiply, multi_mode_multiply, norm)
 from .tucker import TuckerDecomposition, reconstruct
 
 __all__ = [
@@ -179,9 +179,7 @@ class RunReport:
         return float(np.mean(times)) if times else 0.0
 
     def to_dict(self) -> dict:
-        out = asdict(self)
-        out["ranks"] = list(self.ranks)
-        return out
+        return _plain(asdict(self))
 
 
 def reconstruction_error(X, T: TuckerDecomposition) -> float:

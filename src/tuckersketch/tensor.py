@@ -78,6 +78,17 @@ def _check_ranks(ranks, dims=None) -> tuple[int, ...]:
     return tuple(int(r) for r in ranks)
 
 
+def _plain(obj):
+    """``obj`` made JSON-safe: numpy values in it, at any depth, as Python values."""
+    if isinstance(obj, dict):
+        return {k: _plain(v) for k, v in obj.items()}
+    if isinstance(obj, (list, tuple)):
+        return [_plain(v) for v in obj]
+    if isinstance(obj, (np.generic, np.ndarray)):
+        return obj.tolist()
+    return obj
+
+
 def _check_mode(mode, order: int, what: str = "mode") -> None:
     """Reject anything but a 0-based mode index of an order-``order`` tensor."""
     if not _is_int(mode) or not 0 <= mode < order:

@@ -147,6 +147,15 @@ def psi_matrix(core, factors, mode: int) -> np.ndarray:
     return matricize(multi_mode_multiply(core, others), mode)
 
 
+def _psi_gram(core, factors, mode: int) -> np.ndarray:
+    """``W @ W.T`` for W = :func:`psi_matrix`, formed on the core with the factor
+    Grams as ``G_(mode) (x_{k != mode} F_k^T F_k) G_(mode)^T``; the factors are
+    read as by :func:`psi_matrix`."""
+    _check_mode(mode, np.ndim(core))
+    grams = [None if k == mode else f.T @ f for k, f in enumerate(factors)]
+    return matricize(multi_mode_multiply(core, grams), mode) @ matricize(core, mode).T
+
+
 def norm_via_gram(T: TuckerDecomposition, B, mode: int) -> float:
     """Squared norm of the reconstruction mapped by ``B`` along ``mode``.
 
@@ -155,13 +164,13 @@ def norm_via_gram(T: TuckerDecomposition, B, mode: int) -> float:
     ``norm(mode_multiply(reconstruct(T), B, mode)) ** 2`` without forming
     the mapped tensor.
     """
-    psi = psi_matrix(T.core, T.factors, mode)
+    weight = _psi_gram(T.core, T.factors, mode)
     B = as_tensor(B)
     if B.ndim != 2 or B.shape[1] != T.shape[mode]:
         raise ValueError(
             f"mode map must have {T.shape[mode]} columns, got shape {B.shape}"
         )
-    return _weighted_sq_norm(psi @ psi.T, B @ T.factors[mode])
+    return _weighted_sq_norm(weight, B @ T.factors[mode])
 
 
 def _weighted_sq_norm(weight: np.ndarray, mapped: np.ndarray) -> float:

@@ -792,3 +792,39 @@ def test_orthogonal_map_along_a_mode_turns_only_that_subspace(method):
         assert np.linalg.norm(f @ f.T - g @ g.T, 2) <= 1e-12, j
     assert abs(report.final_error - r0.final_error) <= 1e-12 * r0.final_error
     assert report.iterations == r0.iterations
+
+
+@pytest.mark.parametrize("method", METHODS)
+def test_output_does_not_depend_on_the_memory_layout_at_a_blocked_size(method):
+    # a larger size than the test above, where BLAS may block the
+    # contractions of C- and F-ordered input differently
+    X = synth_tensor((96, 80, 72), (6, 5, 4), 0.1, 5)
+    config = DecomposerConfig(ranks=(6, 5, 4), method=method, dr=0.5, seed=3)
+    T0, r0 = decompose(np.ascontiguousarray(X), config)
+    T, report = decompose(np.asfortranarray(X), config)
+    assert report.iterations == r0.iterations
+    if method in ("hooi-re", "hooi-re-star"):
+        assert T.core.tobytes() == T0.core.tobytes()
+        assert [f.tobytes() for f in T.factors] == [f.tobytes() for f in T0.factors]
+        assert report.final_error == r0.final_error
+    else:
+        assert norm(T.core - T0.core) <= 1e-13 * norm(T0.core)
+        assert all(norm(f - f0) <= 1e-13 for f, f0 in zip(T.factors, T0.factors))
+        assert abs(report.final_error - r0.final_error) <= 1e-13 * r0.final_error
+
+
+@pytest.mark.parametrize("method", METHODS)
+def test_power_of_two_scaling_far_out_scales_core_and_error_to_rounding(method):
+    # beyond 2^+-200 LAPACK rescales internally (and at 2^-500 the Gram
+    # floor sends every mode to the R-SVD), so the run is no longer the
+    # same run bit for bit, but it stays the same run to rounding
+    X = noisy_tensor((24, 20, 18), (4, 3, 3), 0.1, 5)
+    config = DecomposerConfig(ranks=(4, 3, 3), method=method, dr=0.5, seed=3)
+    T0, r0 = decompose(X, config)
+    for k in (-500, -400, 400, 500):
+        s = 2.0**k
+        T, report = decompose(s * X, config)
+        assert report.iterations == r0.iterations, k
+        assert all(np.max(np.abs(f - f0)) <= 1e-13 for f, f0 in zip(T.factors, T0.factors)), k
+        assert norm(T.core / s - T0.core) <= 1e-13 * norm(T0.core), k
+        assert abs(report.final_error / s - r0.final_error) <= 1e-15 * r0.final_error, k

@@ -1,3 +1,5 @@
+import tracemalloc
+
 import numpy as np
 import pytest
 
@@ -45,6 +47,33 @@ def test_tensor_header_layout(tmp_path):
     assert np.frombuffer(raw[5:29], dtype="<u8").tolist() == [2, 2, 2]
     # payload follows first-index-fastest: 1..8
     assert np.frombuffer(raw[29:], dtype="<f8").tolist() == list(range(1, 9))
+
+
+def test_tensor_file_does_not_depend_on_the_memory_layout(tmp_path):
+    X = np.random.default_rng(2).standard_normal((4, 3, 5))
+    big = np.zeros((8, 3, 5))
+    big[::2] = X
+    layouts = [X, np.asfortranarray(X), big[::2], np.ascontiguousarray(X.transpose(2, 1, 0)).transpose(2, 1, 0)]
+    blobs = set()
+    for k, Y in enumerate(layouts):
+        write_tensor(tmp_path / f"{k}.tkr", Y)
+        blobs.add((tmp_path / f"{k}.tkr").read_bytes())
+    assert len(blobs) == 1
+
+
+@pytest.mark.parametrize("order, bound", [("C", 1.1), ("F", 0.1)])
+def test_tensor_writer_streams_the_values(tmp_path, order, bound):
+    # F-ordered values are written from their own buffer, C-ordered ones
+    # from one F-ordered copy; the file is never built in memory
+    X = np.asarray(np.random.default_rng(3).standard_normal((64, 64, 64)), order=order)
+    tracemalloc.start()
+    try:
+        write_tensor(tmp_path / "t.tkr", X)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak <= bound * X.nbytes
+    assert np.array_equal(read_tensor(tmp_path / "t.tkr"), X)
 
 
 def test_tensor_reader_rejects_malformed(tmp_path):

@@ -8,6 +8,7 @@ end in a TypeError deep in the solver, run a truncated experiment and
 pass, or return an empty result.
 """
 
+import json
 import re
 
 import numpy as np
@@ -91,6 +92,24 @@ def test_integer_rule_accepts_numpy_integers_everywhere():
     assert bounds.run_lemma21_suite(trials=np.int64(3)).trials == 3
     assert matricize(X, np.int64(1)).shape == (6, 36)
     assert from_vec(np.arange(6.0), (np.int64(2), np.uint8(3))).shape == (2, 3)
+
+
+def test_reports_are_json_safe_for_numpy_typed_inputs():
+    # the rules accept numpy values, so a report can hold an np.int64
+    # seed, rank or trial count, or the np.bool_ that a numpy eps or
+    # target makes of ``passed``; its JSON must be the Python-typed run's
+    small = dict(dims=(8, 8, 8), ranks=(2, 2, 2), embed_dim=6)
+    runs = [
+        lambda i, f: run_decompose(ranks=tuple(i(2) for _ in range(3)), seed=i(3))[1],
+        lambda i, f: bounds.run_lemma21_suite(trials=i(5)),
+        lambda i, f: bounds.run_lemma_a_suite(trials=i(5), eps=f(0.5), n=8, m=6),
+        lambda i, f: bounds.run_prop1_suite(target=i(5), eps=f(0.6), dims=(8, 8, 8), ranks=(2, 2, 2), m=6),
+        lambda i, f: bounds.run_th1_suite(trials=i(5), eps=f(0.5), eta=f(0.1), **small),
+        lambda i, f: bounds.run_th4_suite(trials=i(3), eps=f(0.6), eta=f(0.2), **small, y_samples=i(4)),
+    ]
+    untimed = lambda report: {k: v for k, v in report.to_dict().items() if k not in ("stage_times", "preprocess_ms")}
+    for run in runs:
+        assert json.dumps(untimed(run(np.int64, np.float64))) == json.dumps(untimed(run(int, float)))
 
 
 COUNT_ENTRIES = {

@@ -4,6 +4,7 @@ import pytest
 from tuckersketch.tensor import matricize, mode_multiply, norm
 from tuckersketch.tucker import (
     TuckerDecomposition,
+    _psi_gram,
     apply_mode_map,
     mode_coherence,
     norm_via_gram,
@@ -121,6 +122,19 @@ def test_psi_matrix_unfolding_identity():
             psi = psi_matrix(T.core, T.factors, j)
             assert psi.shape == (ranks[j], int(np.prod(dims)) // dims[j])
             assert np.allclose(matricize(Y, j), T.factors[j] @ psi, atol=1e-12)
+
+
+@pytest.mark.parametrize("dims, ranks", [((5, 2, 6), (3, 4, 2)), ((4, 3, 5, 2), (2, 3, 4, 3))])
+def test_psi_gram_matches_the_gram_of_the_weight_matrix(dims, ranks):
+    # non-orthonormal factors, one with fewer rows than columns: the Gram
+    # formed on the core is W W^T without forming W
+    gen = np.random.default_rng(11)
+    core = gen.standard_normal(ranks)
+    factors = [gen.standard_normal((n, r)) + 0.5 for n, r in zip(dims, ranks)]
+    for j in range(len(dims)):
+        psi = psi_matrix(core, factors, j)
+        want = psi @ psi.T
+        assert norm(_psi_gram(core, factors, j) - want) <= 1e-12 * norm(want)
 
 
 def test_norm_via_gram_special_cases():
