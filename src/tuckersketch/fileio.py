@@ -29,7 +29,7 @@ from pathlib import Path
 
 import numpy as np
 
-from .tensor import as_tensor, from_vec
+from .tensor import as_tensor, from_vec, to_vec
 from .tucker import _ORTHO_TOL, TuckerDecomposition, _orthonormality_gap
 
 __all__ = ["write_tensor", "read_tensor", "write_decomposition", "read_decomposition"]
@@ -46,10 +46,9 @@ def _write(path, magic: bytes, what: str, modes: list[tuple[int, ...]], arrays) 
     header = tuple(v for m in modes for v in m)
     if 0 in header:  # the reader's rule, checked before a byte is written
         raise ValueError(f"zero dimension in header: {header}")
-    with open(path, "wb") as out:
-        out.write(magic + struct.pack(f"<B{len(header)}Q", len(modes), *header))
-        for a in arrays:  # the transpose's C order is a's first-index-fastest order; F-ordered a is not copied
-            out.write(np.asfortranarray(a, dtype="<f8").T)
+    blob = [magic, struct.pack("<B", len(modes)), np.asarray(header, dtype="<u8").tobytes()]
+    blob += [to_vec(a).astype("<f8").tobytes() for a in arrays]
+    Path(path).write_bytes(b"".join(blob))
 
 
 def _take(buf: bytes, offset: int, count: int, what: str) -> tuple[bytes, int]:

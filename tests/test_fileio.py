@@ -1,5 +1,3 @@
-import tracemalloc
-
 import numpy as np
 import pytest
 
@@ -59,21 +57,6 @@ def test_tensor_file_does_not_depend_on_the_memory_layout(tmp_path):
         write_tensor(tmp_path / f"{k}.tkr", Y)
         blobs.add((tmp_path / f"{k}.tkr").read_bytes())
     assert len(blobs) == 1
-
-
-@pytest.mark.parametrize("order, bound", [("C", 1.1), ("F", 0.1)])
-def test_tensor_writer_streams_the_values(tmp_path, order, bound):
-    # F-ordered values are written from their own buffer, C-ordered ones
-    # from one F-ordered copy; the file is never built in memory
-    X = np.asarray(np.random.default_rng(3).standard_normal((64, 64, 64)), order=order)
-    tracemalloc.start()
-    try:
-        write_tensor(tmp_path / "t.tkr", X)
-        peak = tracemalloc.get_traced_memory()[1]
-    finally:
-        tracemalloc.stop()
-    assert peak <= bound * X.nbytes
-    assert np.array_equal(read_tensor(tmp_path / "t.tkr"), X)
 
 
 def test_tensor_reader_rejects_malformed(tmp_path):
