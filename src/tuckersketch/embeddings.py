@@ -16,7 +16,11 @@ n-by-n array is formed.
 Iterative solvers mix their data once by the fast transforms F D, with
 one sign vector per compressed mode (:func:`draw_signs`, :func:`mix`),
 redraw only the row sample S each sweep (:func:`draw_sample_rows`), and
-pull their factors back through (F D)^T (:func:`unmix_factor`).
+pull their factors back through (F D)^T (:func:`unmix_factor`).  The mix
+makes the solver's one C-ordered working copy: the first compressed
+mode's DCT writes it chunk by chunk, whatever the input's layout, and
+the other modes are transformed in place.  Sign vectors hold only +1.0
+and -1.0, which keeps every flip exact.
 """
 
 from __future__ import annotations
@@ -24,7 +28,7 @@ from __future__ import annotations
 import numpy as np
 import scipy.fft
 
-from .tensor import _check_count, _check_mode, _check_positive, _check_ratio, as_tensor
+from .tensor import _check_count, _check_mode, _check_positive, _check_ratio, _check_signs, as_tensor
 
 __all__ = [
     "make_embedding",
@@ -84,24 +88,41 @@ def mix(X, signs: dict[int, np.ndarray]) -> np.ndarray:
     the diagonal of ``signs[j]`` and F the orthonormal DCT-II (norm
     preserving).
 
-    The result is one C-ordered working copy, flipped and transformed in
-    place mode by mode, in increasing mode order; ``X`` itself is never
-    written, and it is returned as is when ``signs`` is empty.
+    The result is one C-ordered working copy, and the first mixed mode's
+    transform writes it: ``X`` is read in about 16 chunks along another
+    mode, each chunk flipped by every sign vector and transformed out of
+    place into its slice of the copy.  The other mixed modes are then
+    transformed in place, in increasing mode order.  A flip is exact and
+    commutes with the transforms along other modes, so the result is
+    bitwise that of flipping and transforming mode by mode.  ``X`` itself
+    is never written, and it is returned as is when ``signs`` is empty.
     """
     X = as_tensor(X)
+    flips = {}
     for j, s in signs.items():
         _check_mode(j, X.ndim)
         if np.shape(s) != (X.shape[j],):
             raise ValueError(f"sign vector of shape {np.shape(s)} for mode {j} of size {X.shape[j]}")
-    if not signs:
+        flips[j] = _check_signs(s).reshape([-1 if k == j else 1 for k in range(X.ndim)])
+    if not flips:
         return X
+    modes = sorted(flips)
+    f = modes[0]
     # C order: the row takes and mode products downstream are several
     # times slower on a first-index-fastest copy
-    out = np.array(X, order="C")
-    for j in sorted(signs):
-        shape = [1] * out.ndim
-        shape[j] = -1
-        out *= signs[j].reshape(shape)
+    out = np.empty(X.shape)
+    c = (f + 1) % X.ndim  # the chunked mode; an order-1 tensor is one chunk
+    step = max(1, X.shape[c] if c == f else -(-X.shape[c] // 16))
+    # at least one chunk: an empty mode f is the DCT's to reject
+    for a in range(0, max(1, X.shape[c]), step):
+        at = (slice(None),) * c + (slice(a, a + step),)
+        # mode c's signs are sliced with the chunk, the others broadcast
+        chunk_flips = [flips[j][at] if j == c else flips[j] for j in modes]
+        chunk = X[at] * chunk_flips[0]
+        for flip in chunk_flips[1:]:
+            chunk *= flip
+        out[at] = scipy.fft.dct(chunk, type=2, axis=f, norm="ortho")
+    for j in modes[1:]:
         out = scipy.fft.dct(out, type=2, axis=j, norm="ortho", overwrite_x=True)
     return out
 
@@ -114,11 +135,14 @@ def unmix_factor(G, signs: np.ndarray | None) -> np.ndarray:
     then the sign flip.
     """
     G = as_tensor(G)
+    if G.ndim not in (1, 2):
+        raise ValueError(f"factor must be a vector or a matrix, got an order-{G.ndim} array")
     if signs is None:
         return G
-    if G.shape[0] != len(signs):
-        raise ValueError(f"factor has {G.shape[0]} rows, sign vector has {len(signs)}")
-    return signs[:, None] * scipy.fft.idct(G, type=2, axis=0, norm="ortho")
+    if np.shape(signs) != G.shape[:1]:
+        raise ValueError(f"factor has {G.shape[0]} rows, sign vector has shape {np.shape(signs)}")
+    signs = _check_signs(signs)
+    return signs.reshape((-1,) + (1,) * (G.ndim - 1)) * scipy.fft.idct(G, type=2, axis=0, norm="ortho")
 
 
 def is_eps_jl(A: np.ndarray, vectors, eps: float) -> bool:

@@ -107,6 +107,14 @@ def _check_ratio(dr) -> None:
         raise ValueError(f"dr must be in (0, 1], got {dr}")
 
 
+def _check_signs(signs) -> np.ndarray:
+    """A sign vector as float64; reject any entry other than +1.0 or -1.0."""
+    signs = as_tensor(signs)
+    if not np.all(np.abs(signs) == 1.0):
+        raise ValueError("sign vector entries must be +1.0 or -1.0")
+    return signs
+
+
 def from_vec(flat, shape: Sequence[int]) -> np.ndarray:
     """Build a tensor from its first-index-fastest vectorisation."""
     shape = _check_dims(shape)

@@ -1,3 +1,6 @@
+import itertools
+import tracemalloc
+
 import numpy as np
 import pytest
 import scipy.fft
@@ -126,6 +129,9 @@ def test_mix_preserves_norm_and_unmixes():
     assert np.array_equal(unmix_factor(H, signs.get(1)), H)
     with pytest.raises(ValueError, match="rows"):
         unmix_factor(H, signs[0])
+    # a vector pulls back as a one-column factor does (it used to come back
+    # as the outer product of the signs with its transform)
+    assert np.array_equal(unmix_factor(G[:, 0], signs[0]), unmix_factor(G[:, :1], signs[0])[:, 0])
 
 
 @pytest.mark.parametrize("modes", [(0, 1, 2), (0, 2)])
@@ -139,9 +145,77 @@ def test_mix_matches_dense_mode_products(modes):
         before = Y.copy()
         out = mix(Y, signs)
         assert np.allclose(out, expected, atol=1e-13)
-        # one C-ordered working copy, mixed in place; the input is not written
+        # one C-ordered working copy, which the first transform writes
+        # chunk by chunk; the input is not written
         assert out.flags.c_contiguous and not np.shares_memory(out, Y)
         assert np.array_equal(Y, before)
+
+
+def textbook_mix(X, signs):
+    """Flip, then DCT, one mode at a time in increasing mode order."""
+    out = X
+    for j in sorted(signs):
+        flip = signs[j].reshape([-1 if k == j else 1 for k in range(X.ndim)])
+        out = scipy.fft.dct(out * flip, type=2, axis=j, norm="ortho")
+    return out
+
+
+def layouts(X):
+    """The values of ``X`` C-ordered, F-ordered, with negative strides, with
+    mode 0 stored fastest and the others in C order, and F-ordered and
+    read-only, as the TKR1 reader returns them."""
+    read_only = np.asfortranarray(X)
+    read_only.flags.writeable = False
+    return {"C": X, "F": np.asfortranarray(X), "reversed": np.flip(np.flip(X).copy()),
+            "transposed": np.moveaxis(np.ascontiguousarray(np.moveaxis(X, 0, -1)), -1, 0),
+            "read-only": read_only}
+
+
+# sizes 16 does not divide, so the chunks along a mode of 17 to 35 are
+# ragged, and size-1 modes
+@pytest.mark.parametrize("shape", [(35,), (1,), (35, 17), (1, 35), (17, 35, 3), (35, 1, 19),
+                                   (3, 19, 2, 18), (2, 17, 1, 3, 18)])
+def test_mix_is_bitwise_the_mode_by_mode_flip_and_transform(shape):
+    gen = np.random.default_rng(len(shape))
+    X = gen.standard_normal(shape)
+    for r in range(1, len(shape) + 1):
+        for modes in itertools.combinations(range(len(shape)), r):
+            signs = {j: draw_signs(gen, shape[j]) for j in modes}
+            expected = textbook_mix(X, signs)
+            for name, Y in layouts(X).items():
+                before = Y.copy()
+                out = mix(Y, signs)
+                assert out.flags.c_contiguous, (modes, name)
+                assert np.array_equal(out, expected), (modes, name)
+                assert np.array_equal(Y, before)
+
+
+@pytest.mark.parametrize("shape, modes", [((0, 3), (1,)), ((2, 0, 3), (0, 2))])
+def test_mix_of_a_tensor_with_an_empty_mode_is_empty(shape, modes):
+    X = np.empty(shape)
+    out = mix(X, {j: np.ones(shape[j]) for j in modes})
+    assert out.shape == shape and out.flags.c_contiguous
+
+
+def test_mix_rejects_an_empty_mixed_mode():
+    for shape, j in [((0,), 0), ((3, 0), 1), ((0, 3), 0)]:
+        with pytest.raises(ValueError, match="invalid number of data points"):
+            mix(np.empty(shape), {j: np.ones(shape[j])})
+
+
+def test_mix_of_an_f_ordered_tensor_allocates_little_beyond_its_copy():
+    # the copy plus a chunk's flip and transform; an unchunked out-of-place
+    # first transform would take at least twice the input
+    gen = np.random.default_rng(12)
+    X = np.asfortranarray(gen.standard_normal((64, 64, 64)))
+    signs = {j: draw_signs(gen, 64) for j in range(3)}
+    tracemalloc.start()
+    try:
+        mix(X, signs)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak <= 1.25 * X.nbytes
 
 
 def test_mix_with_no_modes_is_identity():

@@ -17,7 +17,7 @@ import pytest
 from tuckersketch import bounds, rng
 from tuckersketch.bench import BenchConfig, run_bench, synth_tensor
 from tuckersketch.decompose import DecomposerConfig, decompose, hosvd
-from tuckersketch.embeddings import is_eps_jl, make_embedding, mix, sample_size
+from tuckersketch.embeddings import is_eps_jl, make_embedding, mix, sample_size, unmix_factor
 from tuckersketch.tensor import from_vec, matricize, mode_multiply
 from tuckersketch.tucker import apply_mode_map, mode_coherence, norm_via_gram, psi_matrix, random_orthogonal_tucker
 
@@ -229,6 +229,32 @@ def test_positive_eps_rule_gives_one_message(entry):
     for bad in (0.0, -0.5, float("nan")):
         with pytest.raises(ValueError, match=exact(f"eps must be positive, got {bad}")):
             EPS_ENTRIES[entry](bad)
+
+
+SIGN_ENTRIES = {
+    "mix": lambda s: mix(X, {1: s}),
+    "unmix_factor": lambda s: unmix_factor(np.ones((6, 2)), s),
+    "unmix_factor-vector": lambda s: unmix_factor(np.ones(6), s),
+}
+
+
+@pytest.mark.parametrize("entry", SIGN_ENTRIES)
+def test_sign_rule_gives_one_message(entry):
+    # any diagonal passed for D, nan included, used to scale the data or
+    # the factor silently
+    for bad in (0.0, 2.0, -0.5, float("nan")):
+        signs = np.ones(6)
+        signs[3] = bad
+        with pytest.raises(ValueError, match=exact("sign vector entries must be +1.0 or -1.0")):
+            SIGN_ENTRIES[entry](signs)
+
+
+def test_unmix_factor_takes_a_vector_or_a_matrix():
+    # an order-3 factor failed in numpy's broadcast, and an order-0 one in
+    # an index error
+    for G in (np.ones((6, 2, 2)), np.array(1.0)):
+        with pytest.raises(ValueError, match=exact(f"factor must be a vector or a matrix, got an order-{G.ndim} array")):
+            unmix_factor(G, np.ones(6))
 
 
 def test_residual_check_rejects_its_inputs_before_any_work(monkeypatch):
