@@ -11,9 +11,10 @@ conclusion is an implication that holds with zero violations, so any
 violation indicates an implementation bug rather than bad luck.
 
 Monte-Carlo tail checks (multimode subspace distortion, residual
-distortion): the empirical fraction of draws whose distortion exceeds
-eps is compared against the target failure probability eta plus a
-two-sigma binomial slack ``2 sqrt(eta (1 - eta) / trials)``.  Both
+distortion): the empirical fraction of draws whose distortion is not
+at most eps (a nan is not) is compared against the target failure
+probability eta plus a two-sigma binomial slack
+``2 sqrt(eta (1 - eta) / trials)``.  Both
 work on the Tucker core and the (embedded) factors and never form a
 full-size candidate tensor.
 
@@ -252,32 +253,60 @@ def check_prop1(T: TuckerDecomposition, A: np.ndarray, mode: int, eps: float) ->
     }
 
 
+def _run_trials(name, seed, check, draws, target=0, threshold=0.0):
+    """The trial loop of every suite, over trial streams t = 0, 1, ...
+
+    ``check(t, gen)`` returns None for a draw that fails a hypothesis (it
+    is discarded) and otherwise its conclusions: ``ok``, and for a
+    measured check the ``distortion``.  Runs ``draws`` draws, or stops
+    early once ``target`` draws are kept.  A kept draw fails unless
+    ``ok``; passing needs at least ``max(target, 1)`` kept draws and a
+    failure fraction of at most ``threshold``.  Returns the report and
+    the kept conclusions.
+    """
+    kept = []
+    t = 0
+    while t < draws and not (target and len(kept) >= target):
+        found = check(t, _trial(seed, t))
+        t += 1
+        if found is not None:
+            kept.append(found)
+    failures = sum(1 for c in kept if not c["ok"])
+    report = BoundReport(
+        name=name,
+        trials=t,
+        failures=failures,
+        discarded=t - len(kept),
+        threshold=threshold,
+        passed=len(kept) >= max(target, 1) and failures / len(kept) <= threshold,
+        distortions=[c["distortion"] for c in kept if "distortion" in c],
+    )
+    return report, kept
+
+
+def _measured(distortion: float, bound: float) -> dict:
+    """A measured trial's conclusion: it holds if ``distortion <= bound``, so a nan fails."""
+    return {"ok": distortion <= bound, "distortion": distortion}
+
+
 def _tail_report(
     name, distortion, admissible_eps, ranks, embed_dims, eps, eta, trials, seed, family, **details
 ) -> BoundReport:
     """Tail check shared by the multimode and residual distortion checks.
 
     Runs ``distortion(gen)`` on every trial's stream; passing means the
-    fraction of trials whose distortion exceeds eps is at most eta plus
-    binomial slack.  Raises if eps exceeds
+    fraction of trials whose distortion is not at most eps is at most eta
+    plus binomial slack.  Raises if eps exceeds
     ``admissible_eps(max(ranks), len(embed_dims))``, the range of the
     guarantee checked.
     """
     limit = admissible_eps(max(ranks), len(embed_dims))
     if eps > limit:
         raise ValueError(f"eps={eps} exceeds admissible bound {limit:.4f}")
-    distortions = [distortion(_trial(seed, t)) for t in range(trials)]
-    failures = sum(1 for d in distortions if d > eps)
     threshold = eta + 2.0 * math.sqrt(eta * (1.0 - eta) / trials)
-    return BoundReport(
-        name=name,
-        trials=trials,
-        failures=failures,
-        threshold=threshold,
-        passed=failures / trials <= threshold,
-        distortions=distortions,
-        details={"family": family, "embed_dims": list(embed_dims), **details},
-    )
+    report, _ = _run_trials(name, seed, lambda t, gen: _measured(distortion(gen), eps), trials, threshold=threshold)
+    report.details = {"family": family, "embed_dims": list(embed_dims), **details}
+    return report
 
 
 def _trial_embeddings(family: str, dims, embed_dims, gen: np.random.Generator) -> list[np.ndarray]:
@@ -385,6 +414,8 @@ def check_residual_distortion(
     difference, so there is no cancellation when Y is close to X.
     """
     X = as_tensor(X)
+    if not np.isfinite(X).all():
+        raise ValueError("input tensor must be finite (found inf or nan entries)")
     core = as_tensor(core)
     _validate(eps, eta, trials, embed_dims, X.ndim)
     _check_ranks(core.shape, X.shape)
@@ -439,47 +470,10 @@ def run_lemma21_suite(trials: int = 200, seed: int = 0, tol: float = 1e-10) -> B
         rhs = norm(mode_multiply(reconstruct(T), B, j)) ** 2
         return abs(lhs - rhs) / max(abs(lhs), abs(rhs), 1e-300)
 
-    errs = [gap(_trial(seed, t)) for t in range(trials)]
-    failures = sum(1 for e in errs if e > tol)
-    return BoundReport(
-        name="gram-identity",
-        trials=trials,
-        failures=failures,
-        threshold=tol,
-        passed=failures == 0,
-        distortions=errs,
-        details={"max_rel_err": max(errs)},
-    )
-
-
-def _implication_suite(name: str, seed: int, check, draws: int, target: int = 0):
-    """Conditional check over trial streams t = 0, 1, ...
-
-    ``check(t, gen)`` returns None for a draw that fails the hypothesis
-    (it is discarded) and otherwise its conclusions, ``ok`` among them.
-    Runs ``draws`` draws, or stops early once ``target`` draws satisfy
-    the hypothesis.  Passing needs zero violations among at least
-    ``max(target, 1)`` satisfying draws.  Returns the report and the
-    satisfying draws' conclusions.
-    """
-    held = []
-    t = 0
-    while t < draws and not (target and len(held) >= target):
-        found = check(t, _trial(seed, t))
-        t += 1
-        if found is not None:
-            held.append(found)
-    failures = sum(1 for c in held if not c["ok"])
-    passed = failures == 0 and len(held) >= max(target, 1)
-    report = BoundReport(
-        name=name,
-        trials=t,
-        failures=failures,
-        discarded=t - len(held),
-        passed=passed,
-        details={"satisfied": len(held)},
-    )
-    return report, held
+    report, _ = _run_trials("gram-identity", seed, lambda t, gen: _measured(gap(gen), tol), trials)
+    report.threshold = tol
+    report.details["max_rel_err"] = max(report.distortions)
+    return report
 
 
 def run_lemma_a_suite(
@@ -500,8 +494,9 @@ def run_lemma_a_suite(
         y = gen.standard_normal(n)
         return check_inner_product_bound(E, x / np.linalg.norm(x), y / np.linalg.norm(y), eps)
 
-    report, held = _implication_suite("inner-product-suite", seed, check, trials)
-    report.details["worst_lhs_over_rhs"] = max((c["lhs"] / c["rhs"] for c in held), default=0.0)
+    report, held = _run_trials("inner-product-suite", seed, check, trials)
+    worst = max((c["lhs"] / c["rhs"] for c in held), default=0.0)
+    report.details = {"satisfied": len(held), "worst_lhs_over_rhs": worst}
     return report
 
 
@@ -526,8 +521,8 @@ def run_prop1_suite(
         j = t % len(dims)
         return check_prop1(T, make_embedding(family, dims[j], m, gen), j, eps)
 
-    report, _ = _implication_suite("mode-perturbation-suite", seed, check, 20 * target, target)
-    report.details["target"] = target
+    report, held = _run_trials("mode-perturbation-suite", seed, check, 20 * target, target)
+    report.details = {"satisfied": len(held), "target": target}
     return report
 
 

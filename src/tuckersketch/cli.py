@@ -9,13 +9,14 @@ diagnostic on stderr otherwise.
 from __future__ import annotations
 
 import argparse
+import inspect
 import json
 import sys
 from pathlib import Path
 
 from . import bounds
 from .bench import BenchConfig, run_bench, synth_tensor
-from .decompose import METHODS, DecomposerConfig, decompose
+from .decompose import INITS, METHODS, DecomposerConfig, decompose
 from .embeddings import FAMILIES
 from .fileio import read_tensor, write_decomposition, write_tensor
 
@@ -32,14 +33,13 @@ def _tail_fraction(report) -> str:
     return f"failure_fraction={report.failure_fraction:.4f} threshold={report.threshold:.4f}"
 
 
-# suite -> (runner, keyword taking --trials, keywords taking --eps/--eta/--family,
-# summary line)
+# suite -> (runner, summary line); every runner takes --trials first
 _VERIFY_SUITES = {
-    "lemma21": (bounds.run_lemma21_suite, "trials", (), _gram_error),
-    "lemma-a": (bounds.run_lemma_a_suite, "trials", ("eps", "family"), _violations),
-    "prop1": (bounds.run_prop1_suite, "target", ("eps", "family"), _violations),
-    "th1": (bounds.run_th1_suite, "trials", ("eps", "eta", "family"), _tail_fraction),
-    "th4": (bounds.run_th4_suite, "trials", ("eps", "eta", "family"), _tail_fraction),
+    "lemma21": (bounds.run_lemma21_suite, _gram_error),
+    "lemma-a": (bounds.run_lemma_a_suite, _violations),
+    "prop1": (bounds.run_prop1_suite, _violations),
+    "th1": (bounds.run_th1_suite, _tail_fraction),
+    "th4": (bounds.run_th4_suite, _tail_fraction),
 }
 SUITES = tuple(_VERIFY_SUITES)
 
@@ -90,7 +90,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--tol", type=float, default=1e-5)
     p.add_argument("--max-iters", type=int, default=100)
     p.add_argument("--seed", type=int, default=0)
-    p.add_argument("--init", choices=("hosvd", "random"), default="hosvd")
+    p.add_argument("--init", choices=INITS, default="hosvd")
     p.add_argument("--out", default=None, help="decomposition output (.tkd)")
     p.add_argument("--report", default=None, help="run report output (.json)")
 
@@ -167,14 +167,15 @@ def _cmd_bench(args) -> int:
 
 
 def _cmd_verify(args) -> int:
-    run, trials_kw, bound_kws, summary = _VERIFY_SUITES[args.suite]
+    run, summary = _VERIFY_SUITES[args.suite]
     # an unset --eps/--eta/--family keeps the suite's own default; a suite
-    # without the keyword rejects the flag rather than ignore it
+    # whose runner lacks the keyword rejects the flag rather than ignore it
     given = {kw: getattr(args, kw) for kw in ("eps", "eta", "family") if getattr(args, kw) is not None}
+    takes = inspect.signature(run).parameters
     for kw in given:
-        if kw not in bound_kws:
+        if kw not in takes:
             raise ValueError(f"--{kw} does not apply to suite {args.suite}")
-    report = run(**{trials_kw: args.trials}, seed=args.seed, **given)
+    report = run(args.trials, seed=args.seed, **given)
     if args.out:
         Path(args.out).write_text(json.dumps(report.to_dict(), indent=2))
     status = "PASS" if report.passed else "FAIL"

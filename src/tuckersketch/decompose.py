@@ -93,6 +93,7 @@ __all__ = [
     "DecomposerConfig",
     "RunReport",
     "METHODS",
+    "INITS",
     "STAGES",
     "decompose",
     "hosvd",
@@ -100,6 +101,7 @@ __all__ = [
 ]
 
 METHODS = ("hosvd", "hooi", "hooi-re", "hooi-re-star")
+INITS = ("hosvd", "random")
 RANDOMIZED = ("hooi-re", "hooi-re-star")
 STAGES = ("embed_generate", "embed_apply", "factor_update", "core_update")
 
@@ -130,7 +132,7 @@ class DecomposerConfig:
     max_iters: int = 100
     rel_tol: float = 1e-5
     seed: int = 0
-    init: str = "hosvd"  # or "random"
+    init: str = "hosvd"  # one of INITS
 
     def resolved_compress_modes(self, order: int) -> tuple[int, ...]:
         if self.compress_modes is None:
@@ -141,8 +143,8 @@ class DecomposerConfig:
         q = len(shape)
         if self.method not in METHODS:
             raise ValueError(f"unknown method {self.method!r}, expected one of {METHODS}")
-        if self.init not in ("hosvd", "random"):
-            raise ValueError(f"unknown init {self.init!r}, expected 'hosvd' or 'random'")
+        if self.init not in INITS:
+            raise ValueError(f"unknown init {self.init!r}, expected {' or '.join(map(repr, INITS))}")
         _check_ranks(self.ranks, shape)
         _check_count("max_iters", self.max_iters)
         if not self.rel_tol >= 0.0:  # also rejects nan, under which no run would stop

@@ -303,6 +303,33 @@ def test_residual_distortion_rejects_mismatched_factors():
         check_residual_distortion(X, core, factors[:2], 0, **setting)
 
 
+def residual_on(X, **kw):
+    """check_residual_distortion of ``X`` against a rank-2 sweep at a small setting."""
+    sub = random_orthogonal_tucker(X.shape, (2,) * X.ndim, np.random.default_rng(5))
+    setting = dict(embed_dims=(10,) * X.ndim, eps=0.6, eta=0.2, trials=5)
+    return check_residual_distortion(X, sub.core, sub.factors, 0, **{**setting, **kw})
+
+
+@pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf])
+def test_residual_distortion_rejects_non_finite_tensor(bad):
+    # it used to PASS with zero failures and every distortion nan
+    X = np.random.default_rng(6).standard_normal((12, 12, 12))
+    X[3, 4, 5] = bad
+    with pytest.raises(ValueError, match=r"input tensor must be finite \(found inf or nan entries\)"):
+        residual_on(X)
+
+
+def test_residual_distortion_fails_every_trial_whose_squares_overflow():
+    # finite entries whose squares overflow give nan distortions: a nan is
+    # not within eps, so every trial fails instead of passing
+    X = 1e160 * np.random.default_rng(6).standard_normal((12, 12, 12))
+    with np.errstate(over="ignore", invalid="ignore"):
+        rep = residual_on(X)
+    assert np.isnan(rep.distortions).all()
+    assert rep.passed is False
+    assert rep.failures == rep.trials == 5
+
+
 @pytest.mark.parametrize("mode", [0, 1, 2])
 def test_estimate_subspace_dim_matches_sampled_rank(mode):
     dims, ranks = (6, 7, 8), (2, 3, 2)

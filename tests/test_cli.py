@@ -1,5 +1,6 @@
 """End-to-end checks of the command-line interface, run in-process via main(argv)."""
 
+import inspect
 import json
 
 import numpy as np
@@ -145,15 +146,30 @@ def test_verify_lemma_a_fails_when_no_draw_is_checked(capsys):
     assert "satisfied=0" in out
 
 
-@pytest.mark.parametrize(
-    "suite, flag", [("lemma21", "--eps"), ("lemma21", "--eta"), ("lemma-a", "--eta"), ("prop1", "--eta")]
-)
+SUITE_RUNNERS = {
+    "lemma21": bounds.run_lemma21_suite,
+    "lemma-a": bounds.run_lemma_a_suite,
+    "prop1": bounds.run_prop1_suite,
+    "th1": bounds.run_th1_suite,
+    "th4": bounds.run_th4_suite,
+}
+FLAG_VALUES = {"--eps": "0.5", "--eta": "0.2", "--family": "srft"}
+
+
+@pytest.mark.parametrize("suite, flag", [(s, f) for s in SUITE_RUNNERS for f in FLAG_VALUES])
 def test_verify_rejects_bound_flag_the_suite_does_not_take(suite, flag, capsys):
-    # a flag the suite cannot use is an error, never silently dropped
-    assert main(["verify", "--suite", suite, "--trials", "5", flag, "0.5"]) == 1
+    # the CLI takes a flag iff the suite's runner has the keyword; a flag
+    # the suite cannot use is an error, never silently dropped
+    accepted = flag[2:] in inspect.signature(SUITE_RUNNERS[suite]).parameters
+    rc = main(["verify", "--suite", suite, "--trials", "5", flag, FLAG_VALUES[flag]])
     captured = capsys.readouterr()
-    assert captured.out == ""
-    assert f"{flag} does not apply to suite {suite}" in captured.err
+    if accepted:
+        assert rc == 0
+        assert captured.out.startswith(f"{suite}: PASS ")
+    else:
+        assert rc == 1
+        assert captured.out == ""
+        assert f"{flag} does not apply to suite {suite}" in captured.err
 
 
 def test_verify_family_flag_reaches_the_suite(tmp_path):
