@@ -80,6 +80,10 @@ class BenchConfig:
         for method, R, dr in itertools.product(self.methods, self.ranks, self.dr_grid or (1.0,)):
             DecomposerConfig(ranks=(R,) * len(shape), method=method, dr=dr,
                              compress_modes=self.compress_modes).validate(shape)
+        # a repeated value reruns its cells with the same seeds
+        for name, grid in (("methods", self.methods), ("ranks", self.ranks), ("dr grid", self.dr_grid)):
+            if len(set(grid)) != len(grid):
+                raise ValueError(f"duplicate values in the {name}: {tuple(grid)}")
         _check_count("reps", self.reps)
 
 

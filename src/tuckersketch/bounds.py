@@ -32,8 +32,8 @@ import numpy as np
 
 from . import rng
 from .embeddings import is_eps_jl, make_embedding
-from .tensor import (_check_count, _check_dims, _check_mode, _check_positive, _check_ranks, _plain,
-                     as_tensor, matricize, mode_multiply, multi_mode_multiply, norm)
+from .tensor import (_check_count, _check_dims, _check_mode, _check_positive, _check_ranks, _check_values,
+                     _plain, as_tensor, matricize, mode_multiply, multi_mode_multiply, norm)
 from .tucker import (
     TuckerDecomposition,
     _psi_gram,
@@ -413,10 +413,9 @@ def check_residual_distortion(
     m_mode-by-R_mode) difference remains.  Every term is the norm of a
     difference, so there is no cancellation when Y is close to X.
     """
-    X = as_tensor(X)
-    if not np.isfinite(X).all():
-        raise ValueError("input tensor must be finite (found inf or nan entries)")
-    core = as_tensor(core)
+    X, core = as_tensor(X), as_tensor(core)
+    _check_values(X)
+    _check_values(core, what="core")
     _validate(eps, eta, trials, embed_dims, X.ndim)
     _check_ranks(core.shape, X.shape)
     _check_count("y_samples", y_samples)

@@ -4,7 +4,11 @@ orthogonal-iteration variants.
 Every method runs the same phases, mix -> init -> sweeps -> finalize, and
 returns factors with orthonormal columns plus a run report.  The methods
 differ only in the compressed modes, the number of sweeps and the data
-the core is fitted to:
+the core is fitted to, and the engine reads these three facts off the
+method once, before the mix: ``sizes``, the rows sampled per compressed
+mode (none for ``hosvd`` and ``hooi``); ``sweeps`` (0 for ``hosvd``);
+and ``least_squares``, whether the core is fitted to the sketch (only
+``hooi-re``).  Past the initial guess no step asks which method runs.
 
 * ``hosvd``         the classic truncated HOSVD on the raw tensor (every
                     factor from a full-size unfolding) and zero sweeps.
@@ -40,9 +44,10 @@ The one full-size array a run allocates is the mixed working copy
 itself); every sketch, factor update and core update works on it.
 Every sweep carries ``head = Xw x_{k<j} S_k^T`` from mode to mode (the
 memoised HOOI of Kaya & Ucar, ICPP 2016), S_k being U_k at mode k's
-sampled rows, or all of U_k on an uncompressed mode: ``W_j`` is
-``head`` row-sampled and contracted along the modes > j, then mode j
-takes its rows and ``head <- head x_j S_j^T``.  Every array gets the
+sampled rows, or all of U_k on an uncompressed mode.  A sweep builds
+the list of S_k once, after it draws its samples, and replaces S_j when
+U_j changes: ``W_j`` is ``head`` row-sampled and contracted along the
+modes > j, then mode j takes its rows and ``head <- head x_j S_j^T``.  Every array gets the
 row takes and mode products of a fresh pass over ``Xw``, so the outputs
 match that pass bitwise, but a sweep reads all of ``Xw`` three times
 (``W_0``, the head's first step, the core) instead of q + 1, and
@@ -69,10 +74,12 @@ densely instead.  ``hooi-re``'s sweep fit is the dense residual on its
 small sketched data, whose factors are not orthonormal.  ||Xw|| is taken
 once, in the mix phase.
 
-Every phase is timed: the mix in ``preprocess_ms``, the initial guess and
-the finalisation (unmixing plus final error) as one-entry ``"init"`` and
-``"finalize"`` lists of ``stage_times``, and each sweep in the four
-``STAGES``.
+Every phase is timed into one table of per-phase lists: the mix becomes
+``preprocess_ms``, and the rest is ``stage_times``, with the initial
+guess and the finalisation (unmixing plus final error) as one-entry
+``"init"`` and ``"finalize"`` lists and one entry per sweep in each of
+the four ``STAGES``.  Row takes count in ``embed_apply``; mode products
+and the build of the S_k in ``factor_update``.
 """
 
 from __future__ import annotations
@@ -85,8 +92,8 @@ import numpy as np
 
 from . import rng
 from .embeddings import draw_sample_rows, draw_signs, mix, sample_size, unmix_factor
-from .tensor import (_check_count, _check_mode, _check_ranks, _check_ratio, _plain, as_tensor, inner,
-                     matricize, mode_multiply, multi_mode_multiply, norm)
+from .tensor import (_check_count, _check_mode, _check_ranks, _check_ratio, _check_values, _plain, as_tensor,
+                     inner, matricize, mode_multiply, multi_mode_multiply, norm)
 from .tucker import TuckerDecomposition, reconstruct
 
 __all__ = [
@@ -119,8 +126,6 @@ _CANCELLATION = 1e-6
 _GRAM_GAP = 1e-6
 # lambda_1 eps, the rounding level the gaps are read against, stays normal
 _GRAM_FLOOR = np.finfo(float).tiny / np.finfo(float).eps
-# norms whose square is a normal float64
-_NORM_MIN, _NORM_MAX = np.sqrt(np.finfo(float).tiny), np.sqrt(np.finfo(float).max)
 
 
 @dataclass
@@ -272,11 +277,13 @@ def _draw_samples(seed: int, it: int, shape, sizes: dict[int, int]) -> dict[int,
     return {j: draw_sample_rows(rng.stream(seed, rng.SAMPLE, it, j), shape[j], m) for j, m in sizes.items()}
 
 
-def _sketch(X: np.ndarray, samples) -> np.ndarray:
-    """Row sampling of ``X`` along every mode of ``samples``, with no
-    sqrt(n/m) scale: the solver's factors, cores and fits are scale-free."""
-    for k, rows in samples.items():
-        X = np.take(X, rows, axis=k)
+def _sketch(X: np.ndarray, samples, modes) -> np.ndarray:
+    """Row sampling of ``X`` along each of ``modes`` that ``samples``
+    covers, with no sqrt(n/m) scale: the solver's factors, cores and fits
+    are scale-free."""
+    for k in modes:
+        if k in samples:
+            X = np.take(X, samples[k], axis=k)
     return X
 
 
@@ -287,11 +294,11 @@ def _sketched_factors(factors, samples) -> list[np.ndarray]:
 
 
 @contextmanager
-def _timed(times: dict[str, float], key: str):
-    """Add the wall time of the block, in ms, to ``times[key]``."""
+def _timed(times: dict[str, list[float]], key: str):
+    """Add the wall time of the block, in ms, to the last entry of ``times[key]``."""
     t0 = time.perf_counter()
     yield
-    times[key] = times.get(key, 0.0) + (time.perf_counter() - t0) * 1e3
+    times[key][-1] += (time.perf_counter() - t0) * 1e3
 
 
 def _initial_guess(Xw: np.ndarray, config: DecomposerConfig, samples, kernels: list | None = None):
@@ -326,11 +333,11 @@ def _initial_guess(Xw: np.ndarray, config: DecomposerConfig, samples, kernels: l
         for j, r in enumerate(config.ranks):
             if j:  # shrink the finished mode: Y = Xw x_{k<j} U_k^T
                 Y = mode_multiply(Y, factors[-1].T, j - 1)
-            later = {k: rows for k, rows in samples.items() if k > j}
-            factors.append(_leading_left_vectors(matricize(_sketch(Y, later), j), r, kernels))
+            later = _sketch(Y, samples, range(j + 1, Xw.ndim))
+            factors.append(_leading_left_vectors(matricize(later, j), r, kernels))
         if not samples:  # the projected core is one mode product away
             return factors, mode_multiply(Y, factors[-1].T, len(factors) - 1)
-    core = _core(_sketch(Xw, samples), _sketched_factors(factors, samples), bool(samples))
+    core = _core(_sketch(Xw, samples, range(Xw.ndim)), _sketched_factors(factors, samples), bool(samples))
     return factors, core
 
 
@@ -347,77 +354,67 @@ def hosvd(X, ranks) -> TuckerDecomposition:
 def _run(X: np.ndarray, config: DecomposerConfig):
     """mix -> init -> sweeps -> finalize, with every phase timed."""
     q = X.ndim
-    randomized = config.method in RANDOMIZED
-    modes = config.resolved_compress_modes(q) if randomized else ()
-    sizes = {j: sample_size(config.dr, X.shape[j]) for j in modes}
+    modes = config.resolved_compress_modes(q) if config.method in RANDOMIZED else ()
     sweeps = 0 if config.method == "hosvd" else config.max_iters
-    run: dict[str, float] = {}
+    least_squares = config.method == "hooi-re"  # the core fits the sketch, not Xw
+    sizes = {j: sample_size(config.dr, X.shape[j]) for j in modes}
+    # ms per phase: one entry for mix, init and finalize, one per sweep in STAGES
+    times = {"mix": [0.0], "init": [0.0], **{name: [] for name in STAGES}, "finalize": [0.0]}
     kernels: list[str] = []
 
-    with _timed(run, "mix"):
+    with _timed(times, "mix"):
         signs = {j: draw_signs(rng.stream(config.seed, rng.MIX, j), X.shape[j]) for j in modes}
         Xw = mix(X, signs)
         with np.errstate(over="ignore"):  # an overflow is rejected below
             x_norm = norm(Xw)
-    # an inf or nan entry makes the norm non-finite (LAPACK hangs on one)
-    if not np.isfinite(x_norm) and not np.isfinite(X).all():
-        raise ValueError("input tensor must be finite (found inf or nan entries)")
-    if x_norm == 0.0 and not X.any():
+    _check_values(X, x_norm)
+    if x_norm == 0.0:
         raise ValueError("cannot decompose a zero tensor (fit undefined)")
-    # the fits, the residual and the Gram init kernel all square ||X||
-    if not _NORM_MIN <= x_norm < _NORM_MAX:
-        raise ValueError(
-            "the squared Frobenius norm of the input tensor over- or underflows "
-            "float64; rescale the tensor"
-        )
-    with _timed(run, "init"):
+    with _timed(times, "init"):
         factors, core = _initial_guess(Xw, config, _draw_samples(config.seed, 0, X.shape, sizes), kernels)
 
-    stage: dict[str, list[float]] = {name: [] for name in STAGES}
     fit_trace: list[float] = []
-    fit_prev = -np.inf
     stop_reason = "max_iters" if sweeps else "no_sweeps"
     for it in range(1, sweeps + 1):
-        ms = dict.fromkeys(STAGES, 0.0)
-        with _timed(ms, "embed_generate"):
+        for name in STAGES:
+            times[name].append(0.0)
+        with _timed(times, "embed_generate"):
             samples = _draw_samples(config.seed, it, X.shape, sizes)
+        with _timed(times, "factor_update"):
+            S = _sketched_factors(factors, samples)
         head = Xw  # Xw x_{k<j} S_k^T over the factors already updated
         for j in range(q):
-            with _timed(ms, "embed_apply"):
-                Xj = _sketch(head, {k: rows for k, rows in samples.items() if k > j})
-            with _timed(ms, "factor_update"):
-                sketched = _sketched_factors(factors, samples)
-                W = multi_mode_multiply(Xj, [S.T if k > j else None for k, S in enumerate(sketched)])
+            with _timed(times, "embed_apply"):
+                Xj = _sketch(head, samples, range(j + 1, q))
+            with _timed(times, "factor_update"):
+                W = multi_mode_multiply(Xj, [S[k].T if k > j else None for k in range(q)])
                 factors[j] = _polar_factor(matricize(W, j) @ matricize(core, j).T)
+                S[j] = factors[j][samples[j], :] if j in samples else factors[j]
             if j < q - 1:  # mode j takes its rows, then its new factor
-                with _timed(ms, "embed_apply"):
-                    head = _sketch(head, {k: rows for k, rows in samples.items() if k == j})
-                with _timed(ms, "factor_update"):
-                    head = mode_multiply(head, _sketched_factors(factors, samples)[j].T, j)
-        # hooi-re fits the core to the fully sketched data, the others to Xw
-        core_samples = samples if config.method == "hooi-re" else {}
-        with _timed(ms, "embed_apply"):
-            data = _sketch(Xw, core_samples)
-        with _timed(ms, "core_update"):
-            fitted = _sketched_factors(factors, core_samples)
-            if config.method == "hooi":  # nothing sampled: one product from the head
-                core = mode_multiply(head, factors[-1].T, q - 1)
-            else:
-                core = _core(data, fitted, bool(core_samples))
-            if core_samples:  # sketched factors are not orthonormal: dense fit
-                fit = 1.0 - norm(data - multi_mode_multiply(core, fitted)) / norm(data)
-            else:  # a projected core is its own projection P
+                with _timed(times, "embed_apply"):
+                    head = _sketch(head, samples, (j,))
+                with _timed(times, "factor_update"):
+                    head = mode_multiply(head, S[j].T, j)
+        if least_squares:  # sketched factors are not orthonormal: dense fit
+            with _timed(times, "embed_apply"):
+                data = _sketch(Xw, samples, range(q))
+            with _timed(times, "core_update"):
+                core = _core(data, S, True)
+                fit = 1.0 - norm(data - multi_mode_multiply(core, S)) / norm(data)
+        else:  # a projected core is its own projection P
+            with _timed(times, "core_update"):
+                if sizes:
+                    core = _core(Xw, factors, False)
+                else:  # nothing sampled: the core is one product from the head
+                    core = mode_multiply(head, factors[-1].T, q - 1)
                 fit = 1.0 - _residual(Xw, x_norm, core, factors, core) / x_norm
-        for name in STAGES:
-            stage[name].append(ms[name])
         fit_trace.append(fit)
-        if fit - fit_prev < config.rel_tol:
+        if it > 1 and fit - fit_trace[-2] < config.rel_tol:
             stop_reason = "converged"
             break
-        fit_prev = fit
 
-    with _timed(run, "finalize"):
-        proj = _core(Xw, factors, False) if config.method == "hooi-re" else core
+    with _timed(times, "finalize"):
+        proj = _core(Xw, factors, False) if least_squares else core
         final_error = _residual(Xw, x_norm, core, factors, proj)
         if not fit_trace:  # no sweep: report the fit of the initial guess
             fit_trace.append(1.0 - final_error / x_norm)
@@ -426,13 +423,13 @@ def _run(X: np.ndarray, config: DecomposerConfig):
     report = RunReport(
         method=config.method,
         ranks=tuple(config.ranks),
-        dr=config.dr if randomized else 1.0,
+        dr=config.dr if sizes else 1.0,
         seed=config.seed,
         iterations=len(fit_trace),
         final_error=final_error,
         fit_trace=fit_trace,
-        stage_times={"init": [run["init"]], **stage, "finalize": [run["finalize"]]},
-        preprocess_ms=run["mix"],
+        preprocess_ms=times.pop("mix")[0],
+        stage_times=times,
         init_kernels=kernels,
         stop_reason=stop_reason,
         sample_sizes=[sizes.get(j, n) for j, n in enumerate(X.shape)],

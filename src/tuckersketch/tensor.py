@@ -115,6 +115,24 @@ def _check_signs(signs) -> np.ndarray:
     return signs
 
 
+# norms whose square is a normal float64
+_NORM_MIN, _NORM_MAX = np.sqrt(np.finfo(float).tiny), np.sqrt(np.finfo(float).max)
+
+
+def _check_values(X: np.ndarray, x_norm: float | None = None, what: str = "input tensor") -> None:
+    """Reject a tensor with an inf or nan entry, or a nonzero one whose
+    Frobenius norm ``x_norm`` (taken here when not given) has no normal
+    float64 square: fits, residuals and Gram kernels all square it."""
+    if x_norm is None:
+        with np.errstate(over="ignore"):  # an overflow is rejected below
+            x_norm = norm(X)
+    # an inf or nan entry makes the norm non-finite (LAPACK hangs on one)
+    if not np.isfinite(x_norm) and not np.isfinite(X).all():
+        raise ValueError(f"{what} must be finite (found inf or nan entries)")
+    if not (_NORM_MIN <= x_norm < _NORM_MAX or (x_norm == 0.0 and not X.any())):
+        raise ValueError(f"the squared Frobenius norm of the {what} over- or underflows float64; rescale the tensor")
+
+
 def from_vec(flat, shape: Sequence[int]) -> np.ndarray:
     """Build a tensor from its first-index-fastest vectorisation."""
     shape = _check_dims(shape)

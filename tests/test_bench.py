@@ -125,6 +125,17 @@ def test_bench_rejects_compressed_modes_the_solver_rejects(modes):
     assert len(rows) == 1
 
 
+@pytest.mark.parametrize("grid", [{"methods": ("hooi-re", "hooi-re")}, {"ranks": (2, 2)}, {"dr_grid": (0.5, 0.5)}],
+                         ids=["methods", "ranks", "dr_grid"])
+def test_bench_rejects_duplicate_grid_values(grid):
+    # all three repeated used to write 16 rows from 2 seeds, summarised as
+    # one cell of 16 reps whose sd was taken over copies
+    X = synth_tensor((8, 8, 8), (2, 2, 2), 0.1, 3)
+    config = BenchConfig(**{"methods": ("hooi-re",), "ranks": (2,), "dr_grid": (0.5,), "reps": 2, **grid})
+    with pytest.raises(ValueError, match="^duplicate values in the "):
+        run_bench(X, config)
+
+
 @pytest.mark.parametrize("kind", ["zero", "inf", "huge"])
 def test_a_run_that_raises_stops_the_bench_with_the_solver_error(kind, tmp_path):
     # each used to give one all-NaN row per run and a sweep that completed

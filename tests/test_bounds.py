@@ -319,15 +319,23 @@ def test_residual_distortion_rejects_non_finite_tensor(bad):
         residual_on(X)
 
 
-def test_residual_distortion_fails_every_trial_whose_squares_overflow():
-    # finite entries whose squares overflow give nan distortions: a nan is
-    # not within eps, so every trial fails instead of passing
-    X = 1e160 * np.random.default_rng(6).standard_normal((12, 12, 12))
-    with np.errstate(over="ignore", invalid="ignore"):
-        rep = residual_on(X)
-    assert np.isnan(rep.distortions).all()
-    assert rep.passed is False
-    assert rep.failures == rep.trials == 5
+@pytest.mark.parametrize("scale", [1e160, 1e-200])
+def test_residual_distortion_rejects_tensor_whose_squares_over_or_underflow(scale):
+    # at 1e160 the squares overflowed to nan distortions and numpy warned
+    # on the way; at 1e-200, with the core scaled alike, every residual
+    # square underflowed to 0, no candidate was kept and the check PASSed
+    X = scale * np.random.default_rng(6).standard_normal((12, 12, 12))
+    sub = random_orthogonal_tucker(X.shape, (2, 2, 2), np.random.default_rng(5))
+    setting = dict(embed_dims=(10, 10, 10), eps=0.6, eta=0.2, trials=5)
+    with pytest.raises(ValueError, match="squared Frobenius norm of the input tensor over- or underflows"):
+        check_residual_distortion(X, scale * sub.core, sub.factors, 0, **setting)
+    with pytest.raises(ValueError, match="squared Frobenius norm of the core over- or underflows"):
+        check_residual_distortion(X / scale, scale * sub.core, sub.factors, 0, **setting)
+
+
+def test_residual_distortion_accepts_a_zero_tensor():
+    rep = residual_on(np.zeros((12, 12, 12)))
+    assert rep.trials == 5 and np.isfinite(rep.distortions).all()
 
 
 @pytest.mark.parametrize("mode", [0, 1, 2])

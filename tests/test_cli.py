@@ -285,6 +285,17 @@ def test_bench_cli_rejects_duplicate_compressed_modes(tmp_path, capsys):
     assert not out.exists()
 
 
+def test_bench_cli_rejects_duplicate_grid_values(tmp_path, capsys):
+    x_path = tmp_path / "x.tkr"
+    write_tensor(x_path, synth_tensor((6, 6, 6), (2, 2, 2), 0.1, 8))
+    out = tmp_path / "run.csv"
+    rc = main(["bench", "--input", str(x_path), "--methods", "hooi-re,hooi-re", "--ranks", "2,2",
+               "--dr-grid", "0.5,0.5", "--reps", "2", "--out", str(out)])
+    assert rc == 1
+    assert "duplicate values in the methods" in capsys.readouterr().err
+    assert not out.exists()
+
+
 @pytest.mark.parametrize("kind", ["zero", "inf", "huge"])
 def test_bench_stops_with_the_decompose_error(kind, tmp_path, capsys):
     # bench used to write one all-NaN row per run and exit 0

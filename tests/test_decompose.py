@@ -1,3 +1,4 @@
+import dataclasses
 import importlib
 import json
 import time
@@ -610,6 +611,7 @@ _SAMPLED_CASES = [
         ((14, 12, 10), (3, 4, 2), "C", None),
         ((14, 12, 10), (3, 4, 2), "F", (0, 2)),
         ((14, 12, 10), (3, 4, 2), "C", (0, 2)),
+        ((14, 12, 10), (3, 4, 2), "C", (2, 0)),
         ((9, 8, 7, 6), (3, 2, 3, 2), "C", None),
         ((9, 8, 7, 6), (3, 2, 3, 2), "F", (0, 2)),
     ]
@@ -638,6 +640,12 @@ def test_hooi_carried_products_match_the_textbook_sweep_bitwise(dims, ranks, ord
     factors, core = _textbook_sweeps(X, config, sweeps)
     assert T.core.tobytes() == core.tobytes()
     assert [f.tobytes() for f in T.factors] == [f.tobytes() for f in factors]
+    if compress_modes == (2, 0):  # the order the modes are listed in does not matter
+        T2, report2 = decompose(X, dataclasses.replace(config, compress_modes=(0, 2)))
+        assert T.core.tobytes() == T2.core.tobytes()
+        assert [f.tobytes() for f in T.factors] == [f.tobytes() for f in T2.factors]
+        assert report.final_error == report2.final_error
+        assert report.sample_sizes == report2.sample_sizes
 
 
 def _count_full_reads(monkeypatch, shapes):

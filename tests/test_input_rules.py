@@ -265,3 +265,27 @@ def test_residual_check_rejects_its_inputs_before_any_work(monkeypatch):
         residual(trials=2.5)
     with pytest.raises(ValueError, match=exact("embed_dims must list one size per mode")):
         bounds.check_residual_distortion(X, T.core, T.factors, 0, (4, 4), **TAIL)
+
+
+VALUE_ENTRIES = {
+    "decompose": lambda Y: decompose(Y, DecomposerConfig(ranks=(2, 2, 2))),
+    "decompose-hooi-re": lambda Y: decompose(Y, DecomposerConfig(ranks=(2, 2, 2), method="hooi-re", dr=0.5)),
+    "check_residual_distortion": lambda Y: bounds.check_residual_distortion(Y, T.core, T.factors, 0, (4, 4, 4),
+                                                                            **TAIL),
+}
+
+
+@pytest.mark.parametrize("entry", VALUE_ENTRIES)
+def test_value_rule_gives_one_message(entry):
+    # the bound check used to take both scales: at 1e160 it warned on its
+    # way to nan distortions, and at 1e-200 it ran as if nothing were amiss
+    finite = exact("input tensor must be finite (found inf or nan entries)")
+    out_of_range = exact("the squared Frobenius norm of the input tensor over- or underflows float64; rescale the tensor")
+    for bad in (np.nan, np.inf):
+        Y = X.copy()
+        Y[1, 2, 3] = bad
+        with pytest.raises(ValueError, match=finite):
+            VALUE_ENTRIES[entry](Y)
+    for scale in (1e160, 1e-200):
+        with pytest.raises(ValueError, match=out_of_range):
+            VALUE_ENTRIES[entry](scale * X)
