@@ -1,19 +1,21 @@
 """Benchmark orchestration: synthetic tensors, method grids, CSV/JSON output.
 
 A bench run sweeps (method x rank x reduction ratio x replication) over
-one input tensor.  Randomized methods draw an independent seed per cell
-from the root seed, so error columns reproduce bitwise across reruns of
-the same configuration.  A run that raises stops the sweep with the
-solver's error, as ``decompose`` does, and nothing is written.
+one input tensor.  :meth:`BenchConfig.runs` is the one list of its runs:
+``validate`` walks it, so every run is checked before the first starts,
+and ``run_bench`` runs it in order.  Each run draws its own seed from the
+root seed, keyed by its method, rank, ratio and rep, so error columns
+reproduce bitwise across reruns of the same configuration.  A run that
+raises stops the sweep with the solver's error, as ``decompose`` does,
+and nothing is written.
 """
 
 from __future__ import annotations
 
 import csv
-import itertools
 import json
 import time
-from dataclasses import asdict, dataclass, fields
+from dataclasses import asdict, dataclass, fields, replace
 from pathlib import Path
 from typing import get_type_hints
 
@@ -21,7 +23,7 @@ import numpy as np
 
 from . import rng
 from .decompose import METHODS, RANDOMIZED, DecomposerConfig, decompose
-from .tensor import _check_count, _check_dims, _check_ranks, as_tensor
+from .tensor import _check_count, _check_dims, _check_ranks, _check_ratio, as_tensor
 from .tucker import random_orthogonal_tucker, reconstruct
 
 __all__ = [
@@ -76,15 +78,31 @@ class BenchConfig:
             raise ValueError("no ranks selected")
         if any(m in RANDOMIZED for m in self.methods) and not self.dr_grid:
             raise ValueError("randomized methods need a nonempty dr grid")
-        # the solver's own checks of every method, rank and dr of the grid
-        for method, R, dr in itertools.product(self.methods, self.ranks, self.dr_grid or (1.0,)):
-            DecomposerConfig(ranks=(R,) * len(shape), method=method, dr=dr,
-                             compress_modes=self.compress_modes).validate(shape)
+        _check_count("reps", self.reps)
+        for _ in self.runs(shape):  # the solver's checks of every run, and its seed key
+            pass
+        for dr in self.dr_grid:  # also a grid that only deterministic methods read
+            _check_ratio(dr)
         # a repeated value reruns its cells with the same seeds
         for name, grid in (("methods", self.methods), ("ranks", self.ranks), ("dr grid", self.dr_grid)):
             if len(set(grid)) != len(grid):
                 raise ValueError(f"duplicate values in the {name}: {tuple(grid)}")
-        _check_count("reps", self.reps)
+
+    def runs(self, shape: tuple[int, ...]):
+        """Every run of the sweep, in order, as ``(rep, solver config)``; a
+        deterministic method runs at dr 1.0 whatever the grid.  A cell's
+        config passes the solver's checks before its runs take their seeds,
+        ``child_seed(seed, method id, R, dr's float64 bits, rep)``: keyed on
+        the exact bits, distinct dr values never share a seed."""
+        for method in self.methods:
+            for R in self.ranks:
+                for dr in self.dr_grid if method in RANDOMIZED else (1.0,):
+                    cell = DecomposerConfig(ranks=(R,) * len(shape), method=method, dr=dr,
+                                            compress_modes=self.compress_modes)
+                    cell.validate(shape)
+                    key = (_METHOD_IDS[method], R, np.float64(dr).view(np.uint64))
+                    for rep in range(self.reps):
+                        yield rep, replace(cell, seed=rng.child_seed(self.seed, *key, rep))
 
 
 @dataclass
@@ -131,47 +149,21 @@ _TIMINGS = {
 }
 
 
-def _cells(config: BenchConfig):
-    """Every (method, R, dr, rep) combination; dr fixed at 1.0 for
-    deterministic methods so they run once per (R, rep) regardless of the
-    grid."""
-    for method in config.methods:
-        drs = config.dr_grid if method in RANDOMIZED else (1.0,)
-        for R in config.ranks:
-            for dr in drs:
-                for rep in range(config.reps):
-                    yield method, R, dr, rep
-
-
-def _run_seed(root: int, method: str, R: int, dr: float, rep: int) -> int:
-    # key on the float's exact bit pattern: distinct dr values never share a seed
-    return rng.child_seed(root, _METHOD_IDS[method], int(R), int(np.float64(dr).view(np.uint64)), rep)
-
-
 def run_bench(X, config: BenchConfig, csv_path=None, summary_path=None):
     """Run the sweep; returns ``(rows, summary)`` and optionally writes both."""
     X = as_tensor(X)
     config.validate(X.shape)
-    q = X.ndim
     rows: list[BenchRow] = []
-    for method, R, dr, rep in _cells(config):
-        run_seed = _run_seed(config.seed, method, R, dr, rep)
-        dconf = DecomposerConfig(
-            ranks=tuple(R for _ in range(q)),
-            method=method,
-            dr=dr,
-            compress_modes=config.compress_modes,
-            seed=run_seed,
-        )
+    for rep, run in config.runs(X.shape):
         t0 = time.perf_counter()
-        _, report = decompose(X, dconf)
+        _, report = decompose(X, run)
         rows.append(
             BenchRow(
-                method=method,
-                R=R,
-                dr=dr,
+                method=run.method,
+                R=run.ranks[0],
+                dr=run.dr,
                 rep=rep,
-                seed=run_seed,
+                seed=run.seed,
                 iters=report.iterations,
                 time_total_s=time.perf_counter() - t0,
                 error=report.final_error,

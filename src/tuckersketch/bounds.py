@@ -120,8 +120,8 @@ def max_admissible_eps(rmax: int, order: int) -> float:
 
 
 def max_admissible_residual_eps(rmax: int, order: int) -> float:
-    """Largest eps the residual-distortion guarantee covers."""
-    return math.log(2.0) / (0.5 / rmax + 0.25 + 0.5 / (order * rmax))
+    """Largest eps the residual-distortion guarantee covers, twice the multimode one."""
+    return 2.0 * max_admissible_eps(rmax, order)
 
 
 def embedding_dim_bound(eps: float, eta: float, ranks) -> list[int]:
@@ -185,6 +185,8 @@ def check_inner_product_bound(A: np.ndarray, x, y, eps: float) -> dict | None:
     """
     x = as_tensor(x)
     y = as_tensor(y)
+    if x.ndim != 1 or x.shape != y.shape:
+        raise ValueError(f"x and y must be vectors of one length, got shapes {x.shape} and {y.shape}")
     if not is_eps_jl(A, np.array([x + y, x - y]), eps):
         return None
     lhs = abs(float(np.dot(A @ x, A @ y)) - float(np.dot(x, y)))

@@ -44,18 +44,15 @@ _VERIFY_SUITES = {
 SUITES = tuple(_VERIFY_SUITES)
 
 
-def _int_list(text: str) -> tuple[int, ...]:
-    try:
-        return tuple(int(tok) for tok in text.split(",") if tok != "")
-    except ValueError:
-        raise argparse.ArgumentTypeError(f"expected comma-separated integers, got {text!r}")
-
-
-def _float_list(text: str) -> tuple[float, ...]:
-    try:
-        return tuple(float(tok) for tok in text.split(",") if tok != "")
-    except ValueError:
-        raise argparse.ArgumentTypeError(f"expected comma-separated numbers, got {text!r}")
+def _list_of(cast, what: str):
+    """An argparse type for a comma-separated list of ``cast`` values;
+    spaces around an entry are dropped, and so is an empty entry."""
+    def parse(text: str) -> tuple:
+        try:
+            return tuple(cast(tok) for tok in map(str.strip, text.split(",")) if tok)
+        except ValueError:
+            raise argparse.ArgumentTypeError(f"expected comma-separated {what}, got {text!r}")
+    return parse
 
 
 def _modes_to_zero_based(modes: tuple[int, ...] | None, order: int) -> tuple[int, ...] | None:
@@ -74,8 +71,8 @@ def build_parser() -> argparse.ArgumentParser:
     sub = parser.add_subparsers(dest="command", required=True)
 
     p = sub.add_parser("synth", help="generate a noisy low-rank tensor")
-    p.add_argument("--dims", type=_int_list, required=True)
-    p.add_argument("--ranks", type=_int_list, required=True)
+    p.add_argument("--dims", type=_list_of(int, "integers"), required=True)
+    p.add_argument("--ranks", type=_list_of(int, "integers"), required=True)
     p.add_argument("--noise", type=float, default=0.0)
     p.add_argument("--seed", type=int, default=0)
     p.add_argument("--out", required=True)
@@ -83,9 +80,9 @@ def build_parser() -> argparse.ArgumentParser:
     p = sub.add_parser("decompose", help="fit one Tucker decomposition")
     p.add_argument("--input", required=True)
     p.add_argument("--method", choices=METHODS, default="hooi")
-    p.add_argument("--ranks", type=_int_list, required=True)
+    p.add_argument("--ranks", type=_list_of(int, "integers"), required=True)
     p.add_argument("--dr", type=float, default=1.0)
-    p.add_argument("--compress-modes", type=_int_list, default=None,
+    p.add_argument("--compress-modes", type=_list_of(int, "integers"), default=None,
                    help="1-based mode numbers; default every mode")
     p.add_argument("--tol", type=float, default=1e-5)
     p.add_argument("--max-iters", type=int, default=100)
@@ -96,13 +93,14 @@ def build_parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser("bench", help="sweep methods over ranks and reduction ratios")
     p.add_argument("--input", required=True)
-    p.add_argument("--methods", default="hooi", help="comma-separated method names")
-    p.add_argument("--ranks", type=_int_list, required=True,
+    p.add_argument("--methods", type=_list_of(str, "method names"), default="hooi",
+                   help="comma-separated method names")
+    p.add_argument("--ranks", type=_list_of(int, "integers"), required=True,
                    help="scalar rank grid; each value applies to every mode")
-    p.add_argument("--dr-grid", type=_float_list, default=())
+    p.add_argument("--dr-grid", type=_list_of(float, "numbers"), default=())
     p.add_argument("--reps", type=int, default=100)
     p.add_argument("--seed", type=int, default=1)
-    p.add_argument("--compress-modes", type=_int_list, default=None)
+    p.add_argument("--compress-modes", type=_list_of(int, "integers"), default=None)
     p.add_argument("--out", required=True, help="per-run CSV output")
     p.add_argument("--summary", default=None,
                    help="aggregate JSON output (default: <out>.summary.json)")
@@ -153,7 +151,7 @@ def _cmd_decompose(args) -> int:
 def _cmd_bench(args) -> int:
     X = read_tensor(args.input)
     config = BenchConfig(
-        methods=tuple(tok.strip() for tok in args.methods.split(",") if tok.strip()),
+        methods=args.methods,
         ranks=args.ranks,
         dr_grid=args.dr_grid,
         reps=args.reps,

@@ -28,7 +28,7 @@ from __future__ import annotations
 import numpy as np
 import scipy.fft
 
-from .tensor import _check_count, _check_mode, _check_positive, _check_ratio, _check_signs, as_tensor
+from .tensor import _check_count, _check_map, _check_mode, _check_positive, _check_ratio, _check_signs, as_tensor
 
 __all__ = [
     "make_embedding",
@@ -52,8 +52,6 @@ def make_embedding(kind: str, n: int, m: int, gen: np.random.Generator) -> np.nd
     _check_count("embedding size m", m)
     _check_count("embedding size n", n)
     if kind == "srft":
-        if m > n:
-            raise ValueError(f"srft requires m <= n, got m={m}, n={n}")
         signs = draw_signs(gen, n)
         rows = draw_sample_rows(gen, n, m)
         # row i of S F D is column rows[i] of (F D)^T
@@ -154,8 +152,7 @@ def is_eps_jl(A: np.ndarray, vectors, eps: float) -> bool:
     """
     _check_positive("eps", eps)
     V = np.atleast_2d(as_tensor(vectors))
-    if V.shape[1] != A.shape[1]:
-        raise ValueError(f"vectors have length {V.shape[1]}, embedding expects {A.shape[1]}")
+    A = _check_map(A, V.shape[1], "embedding")
     sq = np.sum(V * V, axis=1)
     mapped = A @ V.T
     mapped_sq = np.sum(mapped * mapped, axis=0)

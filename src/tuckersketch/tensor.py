@@ -107,6 +107,15 @@ def _check_ratio(dr) -> None:
         raise ValueError(f"dr must be in (0, 1], got {dr}")
 
 
+def _check_map(B, n: int, what: str = "mode map") -> np.ndarray:
+    """A map as a float64 matrix with ``n`` columns; a float64 array is
+    returned as is, not copied."""
+    B = as_tensor(B)
+    if B.ndim != 2 or B.shape[1] != n:
+        raise ValueError(f"{what} must be a matrix with {n} columns, got shape {B.shape}")
+    return B
+
+
 def _check_signs(signs) -> np.ndarray:
     """A sign vector as float64; reject any entry other than +1.0 or -1.0."""
     signs = as_tensor(signs)
@@ -168,14 +177,8 @@ def mode_multiply(X, B, mode: int) -> np.ndarray:
     fold round trip.
     """
     X = as_tensor(X)
-    B = as_tensor(B)
     _check_mode(mode, X.ndim)
-    if B.ndim != 2:
-        raise ValueError("mode map must be a matrix")
-    if B.shape[1] != X.shape[mode]:
-        raise ValueError(
-            f"mode map has {B.shape[1]} columns but mode {mode} has size {X.shape[mode]}"
-        )
+    B = _check_map(B, X.shape[mode])
     if X.flags.f_contiguous and not X.flags.c_contiguous:
         # tensordot unfolds in C order: contract a first-index-fastest
         # tensor through its C-contiguous transpose rather than a copy

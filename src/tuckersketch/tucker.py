@@ -13,7 +13,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .tensor import _check_mode, as_tensor, matricize, mode_multiply, multi_mode_multiply
+from .tensor import _check_map, _check_mode, as_tensor, matricize, mode_multiply, multi_mode_multiply
 
 __all__ = [
     "TuckerDecomposition",
@@ -121,8 +121,7 @@ def apply_mode_map(T: TuckerDecomposition, B, mode: int) -> TuckerDecomposition:
     result's ``orthogonal`` flag is always cleared.
     """
     _check_mode(mode, T.order)
-    B = as_tensor(B)
-    mapped = B @ T.factors[mode]
+    mapped = _check_map(B, T.shape[mode]) @ T.factors[mode]
     col_norms = np.linalg.norm(mapped, axis=0)
     if np.any(col_norms < _SINGULAR_COLUMN_TOL):
         raise ValueError("mode map sends a factor column below norm 1e-14")
@@ -165,12 +164,7 @@ def norm_via_gram(T: TuckerDecomposition, B, mode: int) -> float:
     the mapped tensor.
     """
     weight = _psi_gram(T.core, T.factors, mode)
-    B = as_tensor(B)
-    if B.ndim != 2 or B.shape[1] != T.shape[mode]:
-        raise ValueError(
-            f"mode map must have {T.shape[mode]} columns, got shape {B.shape}"
-        )
-    return _weighted_sq_norm(weight, B @ T.factors[mode])
+    return _weighted_sq_norm(weight, _check_map(B, T.shape[mode]) @ T.factors[mode])
 
 
 def _weighted_sq_norm(weight: np.ndarray, mapped: np.ndarray) -> float:

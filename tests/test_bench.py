@@ -243,3 +243,16 @@ def test_bench_seeds_distinguish_close_ratios():
     assert seeds[(0.3, 1)] != seeds[(0.3004, 1)]
     assert len(set(seeds.values())) == 4
     assert [(r.seed, r.error) for r in rows1] == [(r.seed, r.error) for r in rows2]
+
+
+def test_bench_seed_key_is_pinned():
+    # child_seed(root, method id, R, dr's float64 bits, rep): a new walk of
+    # the grid must give every run the seed it had, in the same order
+    X = synth_tensor((6, 6, 6), (2, 2, 2), 0.1, 3)
+    rows, _ = run_bench(X, BenchConfig(methods=("hooi", "hooi-re"), ranks=(2,), dr_grid=(0.5,), reps=2, seed=7))
+    assert [(r.method, r.dr, r.rep, r.seed) for r in rows] == [
+        ("hooi", 1.0, 0, 13762431618198871422),
+        ("hooi", 1.0, 1, 14213716671023100299),
+        ("hooi-re", 0.5, 0, 9343943014498420944),
+        ("hooi-re", 0.5, 1, 5859761327066553689),
+    ]

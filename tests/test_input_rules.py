@@ -1,8 +1,8 @@
 """One home per input rule.
 
 Every entry point that takes an integer, a count, per-mode ranks, a
-0-based mode index, a dimension-reduction ratio or a distortion eps
-applies the same rule, with the same message, through the shared checks
+0-based mode index, a dimension-reduction ratio, a distortion eps or a
+mode map or embedding applies the same rule, with the same message, through the shared checks
 of ``tuckersketch.tensor``.  The regression tests name inputs that used to
 end in a TypeError deep in the solver, run a truncated experiment and
 pass, or return an empty result.
@@ -231,6 +231,26 @@ def test_positive_eps_rule_gives_one_message(entry):
             EPS_ENTRIES[entry](bad)
 
 
+MAP_ENTRIES = {
+    "mode_multiply": lambda B: mode_multiply(X, B, 1),
+    "norm_via_gram": lambda B: norm_via_gram(T, B, 1),
+    "apply_mode_map": lambda B: apply_mode_map(T, B, 1),
+    "is_eps_jl": lambda B: is_eps_jl(B, np.ones((1, 6)), 0.5),
+    "check_prop1": lambda B: bounds.check_prop1(T, B, 1, 0.5),
+    "check_inner_product_bound": lambda B: bounds.check_inner_product_bound(B, np.ones(6), np.ones(6), 0.5),
+}
+
+
+@pytest.mark.parametrize("entry", MAP_ENTRIES)
+def test_map_rule_gives_one_message(entry):
+    # a (3, 7) map in apply_mode_map failed in numpy's matmul, and a 1-D
+    # embedding in is_eps_jl or check_prop1 in an IndexError
+    what = "mode map" if entry in ("mode_multiply", "norm_via_gram", "apply_mode_map") else "embedding"
+    for bad in (np.ones(6), np.ones((3, 7))):
+        with pytest.raises(ValueError, match=exact(f"{what} must be a matrix with 6 columns, got shape {bad.shape}")):
+            MAP_ENTRIES[entry](bad)
+
+
 SIGN_ENTRIES = {
     "mix": lambda s: mix(X, {1: s}),
     "unmix_factor": lambda s: unmix_factor(np.ones((6, 2)), s),
@@ -265,6 +285,13 @@ def test_residual_check_rejects_its_inputs_before_any_work(monkeypatch):
         residual(trials=2.5)
     with pytest.raises(ValueError, match=exact("embed_dims must list one size per mode")):
         bounds.check_residual_distortion(X, T.core, T.factors, 0, (4, 4), **TAIL)
+
+
+def test_inner_product_bound_rejects_x_and_y_of_two_lengths(monkeypatch):
+    # x + y used to fail in numpy's broadcast
+    monkeypatch.setattr(bounds, "is_eps_jl", lambda *args: pytest.fail("distortion checked before the shapes"))
+    with pytest.raises(ValueError, match=exact("x and y must be vectors of one length, got shapes (3,) and (4,)")):
+        bounds.check_inner_product_bound(np.eye(4), np.ones(3), np.ones(4), 0.5)
 
 
 VALUE_ENTRIES = {
